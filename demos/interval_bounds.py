@@ -1,7 +1,7 @@
 """Certified eigenvalue brackets on the interval.
 
 Upper bounds come from Rayleigh-Ritz for the Green operator (orthonormal
-Legendre basis, exact-integer assembly); lower bounds from the method of
+Legendre basis, float64 Gram-form assembly); lower bounds from the method of
 intermediate problems.  Brackets shrink monotonically as the basis grows
 and contain the published 12-digit reference values.
 """

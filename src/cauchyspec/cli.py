@@ -9,7 +9,8 @@ as the separator, lines end in a bare newline, and timestamps are only
 included when explicitly requested with --timestamp.
 
 Exit codes: 0 success, 1 check failure, 2 mathematical inconsistency
-(bracket inversion), 3 precision exhaustion, 64 usage error.
+(bracket inversion), 3 precision exhaustion (no current computation raises
+it: all assembly is float64 without cancellation), 64 usage error.
 """
 
 from __future__ import annotations
@@ -339,8 +340,9 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default="-", help="file path or - for stdout")
         p.add_argument("--digits", type=int, default=None,
-                       help="assembly precision digits (default: "
-                            "CAUCHYSPEC_DIGITS or 50)")
+                       help="accepted for compatibility (>= 15; default "
+                            "CAUCHYSPEC_DIGITS or 50); no longer changes "
+                            "the numbers")
         p.add_argument("--timestamp", action="store_true",
                        help="include a timestamp (breaks byte-determinism)")
 
@@ -351,8 +353,8 @@ def build_parser() -> _Parser:
                    default="both")
     p.add_argument("--precision-mode", choices=("extended", "machine"),
                    default="extended",
-                   help="machine mode demonstrates the cancellation guard "
-                        "(exits 3 beyond a small basis)")
+                   help="accepted for compatibility; both modes use the "
+                        "same float64 assembly and give the same numbers")
     common(p)
 
     p = sub.add_parser("psi", help="generalized eigenfunction on a grid")

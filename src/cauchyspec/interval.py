@@ -3,11 +3,13 @@
 Two independent pipelines bracket each eigenvalue lambda_n:
 
 * upper bounds: Rayleigh-Ritz for the Green operator in the orthonormal
-  Legendre basis.  The matrix entries are finite combinations of Green
-  moments  G_{m,n} = pi * beta_m beta_n / (2^{m+n} (m+n+2)),
-  beta_k = C(k, floor(k/2)); the Legendre-to-monomial coefficients grow like
-  4^deg with alternating signs, so the triple product is assembled in exact
-  integer arithmetic (see :func:`assemble_rayleigh_ritz`) and rounded once.
+  Legendre basis.  Expanding the Legendre polynomials in monomials would
+  take the matrix from the Green moments
+  G_{m,n} = pi * beta_m beta_n / (2^{m+n} (m+n+2)), beta_k = C(k, floor(k/2)),
+  through coefficients that grow like 4^deg with alternating signs.  These
+  moments form a Gram matrix, so the matrix is instead assembled in float64
+  as a Gram product of Legendre averages, in which nothing cancels (see
+  :func:`assemble_rayleigh_ritz`).
 
 * lower bounds: the method of intermediate problems.  After mapping to a
   strip, the problem becomes  A f = lambda (1 - T^2) f  with A the
@@ -33,8 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import eval_legendre
 
-from .errors import (BracketInversion, CauchySpecError, DomainError,
-                     PrecisionExhausted)
+from .errors import BracketInversion, CauchySpecError, DomainError
 from .halfline import psi
 from .linalg import SymMatrix, generalized_sym_eig, solve_spd, sym_eig
 from .precision import PrecisionContext
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 _PI = math.pi
+
+#: precision tag of every float64 matrix the bound pipelines assemble
+ASSEMBLY_DIGITS = 16
 
 #: published 12-digit reference brackets for the first ten eigenvalues,
 #: used for validation only (never consumed by the solvers).
@@ -243,107 +247,50 @@ def green_moment(m: int, n: int, ctx: PrecisionContext | None = None) -> float:
     if (m + n) % 2 == 1:
         return 0.0
     ctx = ctx or PrecisionContext.from_env()
-    from fractions import Fraction
-    q = Fraction(_beta(m) * _beta(n), (1 << (m + n)) * (m + n + 2))
-    return ctx.pi() * float(q)
-
-
-def _legendre_int_rows(N: int) -> list[list[int]]:
-    """W[m][k] = 2^m c_{m,(m-k)/2} * beta_k * 2^{m-k}, all integers; row m
-    holds the monomial-degree-k weights entering the exact triple product."""
-    W = [[0] * N for _ in range(N)]
-    for m in range(N):
-        for j in range(m // 2 + 1):
-            k = m - 2 * j
-            c2m = (-1) ** j * comb(m + k, (m + k) // 2) * comb((m + k) // 2, j)
-            W[m][k] = c2m * _beta(k) * (1 << (m - k))
-    return W
-
-
-def _lcm_upto(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out = out * k // math.gcd(out, k)
-    return out
-
-
-def _assemble_exact(N: int) -> np.ndarray:
-    """Exact-integer core: A/pi = 4^{-m-n} (W H W^T)_{m,n} with
-    H_{k,l} = 1/(k+l+2); one correctly-rounded downcast per entry."""
-    from fractions import Fraction
-    L = _lcm_upto(2 * N)
-    W = _legendre_int_rows(N)
-    H = [[L // (k + l + 2) for l in range(N)] for k in range(N)]
-    U = [[sum(W[m][k] * H[k][l] for k in range(N) if W[m][k])
-          for l in range(N)] for m in range(N)]
-    A = np.zeros((N, N))
-    for m in range(N):
-        for n in range(m, N):
-            if (m + n) % 2 == 1:
-                continue
-            num = sum(U[m][l] * W[n][l] for l in range(N) if W[n][l])
-            val = float(Fraction(num, L * (1 << (2 * (m + n)))))
-            A[m, n] = A[n, m] = _PI * val * math.sqrt((2 * m + 1) * (2 * n + 1)) / 2.0
-    return A
-
-
-def _assemble_machine(N: int) -> np.ndarray:
-    """float64 assembly with per-entry tracking of the largest partial term;
-    raises :class:`PrecisionExhausted` when fewer than 15 digits survive."""
-    W = np.zeros((N, N))
-    rows = _legendre_int_rows(N)
-    for m in range(N):
-        for k in range(N):
-            W[m, k] = float(rows[m][k])
-    kk = np.arange(N)
-    H = 1.0 / (kk[:, None] + kk[None, :] + 2.0)
-    scale = 4.0 ** -(kk[:, None] + kk[None, :])
-    U = W @ H
-    A_core = (U @ W.T) * scale * _PI
-    T_core = (np.abs(W) @ H @ np.abs(W).T) * scale * _PI   # positive majorant
-    norm = np.sqrt((2 * kk + 1) / 2.0)
-    A = A_core * np.outer(norm, norm)
-    parity_zero = (kk[:, None] + kk[None, :]) % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        surviving = 15.95 - np.log10(np.where(A_core != 0.0,
-                                              T_core / np.abs(A_core), 1.0))
-    surviving[parity_zero] = 15.95                         # exact structural zeros
-    A[parity_zero] = 0.0
-    worst = float(surviving.min())
-    if worst < 15.0:
-        raise PrecisionExhausted(
-            f"machine-precision assembly at N={N} keeps only "
-            f"{worst:.1f} significant digits (need 15); use the extended "
-            "context")
-    return A
-
-
-_A_CACHE: dict[str, np.ndarray] = {}
+    # int / int true division rounds correctly
+    return ctx.pi() * (_beta(m) * _beta(n) / ((1 << (m + n)) * (m + n + 2)))
 
 
 def assemble_rayleigh_ritz(N: int,
                            ctx: PrecisionContext | None = None) -> BasisMatrix:
     """Matrix of the Green operator in the first N orthonormal Legendre
-    polynomials.  Entries do not depend on N, so enlarging the basis reuses
-    the cached assembly.  Extended mode (default) is exact up to the final
-    rounding; machine mode raises :class:`PrecisionExhausted` once
-    cancellation eats past the 15-digit floor (N around 8)."""
+    polynomials, in float64 from its Gram form
+
+        A_mn = pi nu_m nu_n int_0^1 s u_m(s) u_n(s) ds,   nu_m = sqrt((2m+1)/2),
+        u_m(s) = (1/pi) int_0^pi cos^{m mod 2}(t) P_m(s cos t) dt,
+
+    for m + n even (zero otherwise), in which no term cancels.  P_m comes from
+    the three-term recurrence on a grid of z = s cos t: N+2 Gauss-Legendre
+    points in s and N//2+2 midpoints in t integrate every entry exactly, so
+    the only error is rounding, about 1e-14 ||A||_2.  The rule grows with N,
+    so entries shared by two basis sizes agree to that level, not bitwise.
+    ``ctx`` is accepted for compatibility and does not change the numbers."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    ctx = ctx or PrecisionContext.from_env()
-    if not ctx.extended:
-        return BasisMatrix("A_N", _assemble_machine(N), 16)
-    cached = _A_CACHE.get("A")
-    if cached is None or cached.shape[0] < N:
-        _A_CACHE["A"] = _assemble_exact(N)
-    return BasisMatrix("A_N", _A_CACHE["A"][:N, :N].copy(),
-                       ctx.significant_digits)
+    x, w = np.polynomial.legendre.leggauss(N + 2)
+    s = 0.5 * (x + 1.0)
+    n_t = N // 2 + 2
+    cos_t = np.cos((np.arange(n_t) + 0.5) * (_PI / n_t))
+    z = s[:, None] * cos_t[None, :]
+    theta_avg = (np.full(n_t, 1.0 / n_t), cos_t / n_t)   # by parity of m
+    U = np.empty((N, s.size))
+    p_prev, p = np.zeros_like(z), np.ones_like(z)
+    for m in range(N):
+        U[m] = p @ theta_avg[m % 2]
+        p_prev, p = p, ((2 * m + 1) * z * p - m * p_prev) / (m + 1)
+    A = (U * (0.5 * w * s)) @ U.T                      # weight s ds on [0, 1]
+    nu = np.sqrt(np.arange(N) + 0.5)
+    A = _PI * 0.5 * (A + A.T) * np.outer(nu, nu)
+    k = np.arange(N)
+    A[(k[:, None] + k[None, :]) % 2 == 1] = 0.0
+    return BasisMatrix("A_N", A, ASSEMBLY_DIGITS)
 
 
 def upper_bounds(N: int, count: int | None = None,
                  ctx: PrecisionContext | None = None) -> np.ndarray:
     """Rayleigh-Ritz upper bounds: 1/theta for the descending eigenvalues
-    theta of A_N.  Non-increasing in N by min-max over nested subspaces."""
+    theta of A_N.  Non-increasing in N by min-max over nested subspaces,
+    up to the rounding of assembly and eigensolve (about 1e-14 relative)."""
     count = N if count is None else count
     if count > N:
         raise DomainError("count must not exceed the basis size")
@@ -391,8 +338,9 @@ def assemble_intermediate(N: int):
         C[row, n] = -1.0
     S = np.eye(K) - C.T @ solve_spd(SymMatrix(B), C)
     d = np.arange(1.0, K + 1.0)
-    return (BasisMatrix("C", C, 16), BasisMatrix("Gram_B", B, 16), d,
-            BasisMatrix("S", 0.5 * (S + S.T), 16))
+    return (BasisMatrix("C", C, ASSEMBLY_DIGITS),
+            BasisMatrix("Gram_B", B, ASSEMBLY_DIGITS), d,
+            BasisMatrix("S", 0.5 * (S + S.T), ASSEMBLY_DIGITS))
 
 
 def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -428,7 +376,6 @@ def bracket(n_max: int, N: int,
     exceeds its upper bound (which would signal an assembly bug)."""
     if n_max > N:
         raise DomainError("n_max must not exceed N")
-    ctx = ctx or PrecisionContext.from_env()
     ups = upper_bounds(N, n_max, ctx)
     los = lower_bounds(N, n_max)
     out = []
@@ -439,7 +386,7 @@ def bracket(n_max: int, N: int,
                 f"lower bound {lo!r} exceeds upper bound {up!r} for n={n}, "
                 f"N={N}")
         out.append(EigBound(n, N, lo, up,
-                            method_meta={"assembly_digits": ctx.significant_digits,
+                            method_meta={"assembly_digits": ASSEMBLY_DIGITS,
                                          "upper": "rayleigh-ritz",
                                          "lower": "intermediate-problems"}))
     return out

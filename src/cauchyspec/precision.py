@@ -1,19 +1,18 @@
-"""Configurable-precision arithmetic context.
+"""Precision context for the eigenvalue-bound pipelines.
 
-Matrix assembly for the Galerkin eigenvalue bounds cancels catastrophically
-in machine precision once the polynomial degree passes ~25 (the Legendre
-monomial coefficients grow like 4^n with alternating signs).  The extended
-context therefore guarantees a requested number of significant digits for
-the scalar operations involved; the assembly core itself exceeds any request
-by working over exact integers and rounding once at the end.
+Every matrix the bound pipelines use is assembled in float64 (the
+Rayleigh-Ritz matrix from a Gram form in which nothing cancels), so neither
+the mode nor the digit count of a context changes any computed number.  The
+context stays as the configuration surface of ``--precision-mode``,
+``--digits`` and the ``CAUCHYSPEC_DIGITS`` environment variable, which are
+still validated.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-
-import mpmath
 
 __all__ = ["PrecisionContext", "default_digits"]
 
@@ -33,8 +32,9 @@ def default_digits() -> int:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Arithmetic context: ``machine`` (float64) or ``extended`` software
-    floating point with at least ``significant_digits`` digits."""
+    """Arithmetic context: ``machine`` or ``extended`` mode with at least
+    ``significant_digits`` digits requested.  All arithmetic is float64
+    whatever the settings."""
 
     significant_digits: int = 50
     mode: str = "extended"
@@ -53,22 +53,5 @@ class PrecisionContext:
     def extended(self) -> bool:
         return self.mode == "extended"
 
-    def mpf(self, value):
-        """Value as a software float carrying this context's digits."""
-        with mpmath.workdps(self.significant_digits + 5):
-            return mpmath.mpf(value)
-
-    def gamma_ratio(self, a: float, b: float) -> float:
-        """Gamma(a)/Gamma(b) at the context's precision, rounded to float."""
-        if self.extended:
-            with mpmath.workdps(self.significant_digits + 5):
-                return float(mpmath.gamma(a) / mpmath.gamma(b))
-        import math
-        return math.exp(math.lgamma(a) - math.lgamma(b))
-
     def pi(self) -> float:
-        if self.extended:
-            with mpmath.workdps(self.significant_digits + 5):
-                return float(mpmath.pi)
-        import math
         return math.pi

@@ -145,11 +145,14 @@ def test_timestamp_flag(tmp_path):
     assert "timestamp" in json.loads(a)["meta"]
 
 
-def test_precision_exhaustion_exit_code(tmp_path):
-    code = main(["eigs", "--n-max", "5", "--basis", "40",
-                 "--precision-mode", "machine",
-                 "--output", str(tmp_path / "x")])
-    assert code == 3
+def test_machine_precision_mode_matches_extended(tmp_path):
+    args = ["eigs", "--n-max", "5", "--basis", "40", "--format", "json"]
+    code_m, mach = run_cli([*args, "--precision-mode", "machine"], tmp_path,
+                           "m")
+    code_e, ext = run_cli([*args, "--precision-mode", "extended"], tmp_path,
+                          "e")
+    assert code_m == code_e == 0
+    assert json.loads(mach)["rows"] == json.loads(ext)["rows"]
 
 
 def test_bracket_inversion_exit_code(monkeypatch, tmp_path):

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from cauchyspec import (DomainError, PrecisionContext, PrecisionExhausted,
-                        QuadratureSpec, bracket, generator_apply,
+from cauchyspec import (DomainError, PrecisionContext, QuadratureSpec,
+                        bracket, generator_apply,
                         green_moment, lower_bounds, mu_asymptotic, q_cutoff,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
@@ -156,13 +158,83 @@ def test_rayleigh_ritz_matrix_structure():
     assert A[0, 0] == pytest.approx(PI / 4.0, abs=1e-15)
 
 
-def test_machine_assembly_raises_for_large_basis():
-    ctx = PrecisionContext(15, "machine")
-    small = assemble_rayleigh_ritz(2, ctx).entries
-    exact = assemble_rayleigh_ritz(2).entries
-    assert np.allclose(small, exact, rtol=1e-13)
-    with pytest.raises(PrecisionExhausted):
-        assemble_rayleigh_ritz(30, ctx)
+# Reference oracle: the same matrix over exact integers.  With
+# c_{m,j} the Legendre-to-monomial coefficients, A/pi = 4^{-m-n} (W H W^T)_mn
+# times nu_m nu_n, H_kl = 1/(k+l+2); the terms of W H W^T cancel
+# catastrophically, so only exact arithmetic gets them right this way.
+
+
+def _legendre_int_rows(N):
+    """W[m][k] = 2^m c_{m,(m-k)/2} * beta_k * 2^{m-k}, all integers."""
+    W = [[0] * N for _ in range(N)]
+    for m in range(N):
+        for j in range(m // 2 + 1):
+            k = m - 2 * j
+            c2m = (-1) ** j * comb(m + k, (m + k) // 2) * comb((m + k) // 2, j)
+            W[m][k] = c2m * comb(k, k // 2) * (1 << (m - k))
+    return W
+
+
+def _lcm_upto(n):
+    out = 1
+    for k in range(2, n + 1):
+        out = out * k // math.gcd(out, k)
+    return out
+
+
+def assemble_exact(N):
+    """Rayleigh-Ritz matrix with one correctly rounded downcast per entry
+    (before the float product with pi and the normalizations)."""
+    L = _lcm_upto(2 * N)
+    W = _legendre_int_rows(N)
+    H = [[L // (k + l + 2) for l in range(N)] for k in range(N)]
+    U = [[sum(W[m][k] * H[k][l] for k in range(N) if W[m][k])
+          for l in range(N)] for m in range(N)]
+    A = np.zeros((N, N))
+    for m in range(N):
+        for n in range(m, N):
+            if (m + n) % 2 == 1:
+                continue
+            num = sum(U[m][l] * W[n][l] for l in range(N) if W[n][l])
+            val = float(Fraction(num, L * (1 << (2 * (m + n)))))
+            A[m, n] = A[n, m] = PI * val * math.sqrt((2 * m + 1) * (2 * n + 1)) / 2.0
+    return A
+
+
+@pytest.mark.parametrize("N", [25, 150])
+def test_float_assembly_matches_exact_oracle(N):
+    exact = assemble_exact(N)
+    A = assemble_rayleigh_ritz(N).entries
+    assert np.abs(A - exact).max() <= 1e-14 * np.linalg.norm(exact, 2)
+
+
+def test_assembly_leading_block_stable_in_basis():
+    # the quadrature rule grows with N, so shared entries agree to rounding
+    a50 = assemble_rayleigh_ritz(50).entries
+    a200 = assemble_rayleigh_ritz(200).entries
+    assert np.abs(a50 - a200[:50, :50]).max() <= 1e-13 * np.linalg.norm(a200, 2)
+
+
+def test_machine_and_extended_assembly_identical():
+    mach = assemble_rayleigh_ritz(40, PrecisionContext(15, "machine"))
+    ext = assemble_rayleigh_ritz(40, PrecisionContext(60, "extended"))
+    assert np.array_equal(mach.entries, ext.entries)
+    assert mach.precision_digits == ext.precision_digits == 16
+
+
+def test_bounds_nested_for_every_basis_size():
+    # min-max over nested subspaces, up to the rounding of the eigensolves
+    prev_up = prev_lo = None
+    for N in range(1, 201):
+        count = min(N, 10)
+        up = upper_bounds(N, count)
+        lo = lower_bounds(N, count)
+        assert np.all(lo <= up)
+        if prev_up is not None:
+            k = min(count, prev_up.size)
+            assert np.all(up[:k] <= prev_up[:k] * (1.0 + 1e-13))
+            assert np.all(lo[:k] >= prev_lo[:k] * (1.0 - 1e-13))
+        prev_up, prev_lo = up, lo
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +335,7 @@ def test_bracket_validation():
     brs = bracket(3, 10)
     for b in brs:
         assert b.lower <= b.upper
-        assert b.method_meta["assembly_digits"] >= 15
+        assert b.method_meta["assembly_digits"] == 16
 
 
 def test_brackets_contain_references_n50():

@@ -26,14 +26,5 @@ def test_default_digits_env(monkeypatch):
     assert default_digits() == 50
 
 
-def test_gamma_ratio_both_modes():
-    # Gamma(3/4)/Gamma(5/4) in machine and extended agree to float accuracy
-    ext = PrecisionContext(60, "extended").gamma_ratio(0.75, 1.25)
-    mach = PrecisionContext(15, "machine").gamma_ratio(0.75, 1.25)
-    ref = math.gamma(0.75) / math.gamma(1.25)
-    assert ext == pytest.approx(ref, rel=1e-15)
-    assert mach == pytest.approx(ref, rel=1e-13)
-
-
 def test_pi_at_context_precision():
     assert PrecisionContext(50, "extended").pi() == math.pi
