@@ -14,10 +14,15 @@ kernel f, the killed heat kernel in closed and spectral form, the exit-time
 law, and the transform Pi diagonalizing the killed semigroup (an involution
 up to the factor pi/2).
 
-Evaluation strategy: Laplace transforms of the w-family are computed on a
-fixed composite Gauss rule over logarithmic t-panels (built lazily once),
-which makes r and psi cheap on large batches; everything else runs through
-the adaptive engine in :mod:`.quadrature`.
+Evaluation strategy: Laplace transforms of the w-family are defined by a
+fixed composite Gauss rule over logarithmic t-panels plus a closed-form
+t^{-3/2} tail (built lazily once).  The remainder r, which sits under psi,
+Pi, the spectral heat kernel and the interval eigenfunctions, is read on
+1e-12 < x < 1e4 from a piecewise-Chebyshev table of (1+x)^2 r(x) in log x
+(2 panels per decade, degree 16), sampled from that rule on first use and
+within a few ulps of it; points outside that range, and the derivatives of
+r, go through the rule itself.  Everything else runs through the adaptive
+engine in :mod:`.quadrature`.
 """
 
 from __future__ import annotations
@@ -143,20 +148,97 @@ def _laplace_of_weight(x: np.ndarray, moment: int = 0) -> np.ndarray:
     return out + amp * _tail_moment(x, T, moment)
 
 
-def remainder(x):
-    """The remainder r(x) = int_0^inf w(t) e^{-tx} dt for x >= 0 (scalar or
-    array).  r(0) = sin(pi/8) exactly; r is totally monotone and bounded by
-    sqrt(2)/(2 pi x^2)."""
+#: range, panels per decade and degree of the remainder table
+_TABLE_LO, _TABLE_HI = 1e-12, 1e4
+_TABLE_PER_DECADE = 2
+_TABLE_DEGREE = 16
+_TABLE_U0 = math.log(_TABLE_LO)
+_TABLE_H = math.log(10.0) / _TABLE_PER_DECADE
+_TABLE_PANELS = round(math.log10(_TABLE_HI / _TABLE_LO)) * _TABLE_PER_DECADE
+#: points per block of a table evaluation, which bounds its temporaries
+_TABLE_BLOCK = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _remainder_table() -> tuple[np.ndarray, ...]:
+    """Chebyshev coefficients of g(x) = (1+x)^2 r(x) in u = log x, one
+    degree-16 interpolant per half-decade panel of (1e-12, 1e4), sampled
+    from the Laplace rule at first-kind Chebyshev points one panel at a time
+    and transformed by a DCT-II (the basis is not formed by recurrence,
+    whose rounding would cost a digit).  g is analytic and between about 0.2
+    and 0.4 there, so the interpolants converge geometrically to the
+    rounding level of the rule.  Returned as one contiguous array per
+    degree."""
+    from scipy.fft import dct
+    m = _TABLE_DEGREE + 1
+    s = np.cos(_PI * (np.arange(m) + 0.5) / m)
+    coef = np.empty((_TABLE_PANELS, m))
+    for k in range(_TABLE_PANELS):
+        x = np.exp(_TABLE_U0 + _TABLE_H * (k + 0.5 * (s + 1.0)))
+        coef[k] = dct((1.0 + x) ** 2 * _laplace_of_weight(x), type=2) / m
+    coef[:, 0] *= 0.5
+    return tuple(np.ascontiguousarray(col) for col in coef.T)
+
+
+def _remainder_from_table(x: np.ndarray) -> np.ndarray:
+    """r(x) for 1e-12 < x < 1e4, by Clenshaw on the panel of each point."""
+    cols = _remainder_table()
+    out = np.empty_like(x)
+    for i in range(0, x.size, _TABLE_BLOCK):
+        xb = x[i:i + _TABLE_BLOCK]
+        t = (np.log(xb) - _TABLE_U0) / _TABLE_H
+        # truncation sends a t rounded just below 0 to panel 0; the top of
+        # the range, x = 1e4, has t = _TABLE_PANELS, one past the last panel
+        k = np.minimum(t.astype(np.intp), _TABLE_PANELS - 1)
+        s2 = 4.0 * (t - k) - 2.0                 # 2 s, s in [-1, 1]
+        b1 = cols[-1][k]
+        b2 = np.zeros_like(xb)
+        for col in cols[-2:0:-1]:
+            b1, b2 = col[k] + s2 * b1 - b2, b1
+        g = cols[0][k] + 0.5 * s2 * b1 - b2
+        out[i:i + _TABLE_BLOCK] = g / (1.0 + xb) ** 2
+    return out
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as a float array, or DomainError if any entry is NaN or inf."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} requires finite arguments")
+    return x
+
+
+def _check_lam(lam) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError("lam must be positive and finite")
+
+
+def remainder(x):
+    """The remainder r(x) = int_0^inf w(t) e^{-tx} dt for finite x >= 0
+    (scalar or array).  r(0) = sin(pi/8) exactly; r is totally monotone and
+    bounded by sqrt(2)/(2 pi x^2).
+
+    On 1e-12 < x < 1e4 the value comes from a piecewise-Chebyshev table of
+    (1+x)^2 r(x) in log x, built on first use from the Laplace rule and
+    within 4e-15 relative of it, at a small fraction of the rule's cost per
+    point; every other x goes through the rule and its closed-form tail.
+    NaN and +-inf raise DomainError."""
+    x = _finite("remainder", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if np.any(x < 0):
         raise DomainError("remainder requires x >= 0")
-    out = np.empty_like(x)
-    zero = x == 0.0
-    out[zero] = _SIN_PI8
-    if np.any(~zero):
-        out[~zero] = _laplace_of_weight(x[~zero])
+    table = (x > _TABLE_LO) & (x < _TABLE_HI)
+    if table.all():
+        out = _remainder_from_table(x)
+    else:
+        out = np.empty_like(x)
+        out[table] = _remainder_from_table(x[table])
+        zero = x == 0.0
+        out[zero] = _SIN_PI8
+        rule = ~(table | zero)
+        if rule.any():
+            out[rule] = _laplace_of_weight(x[rule])
     return float(out[0]) if scalar else out
 
 
@@ -165,7 +247,7 @@ def remainder_deriv(x, order: int = 1):
     differentiating under the Laplace integral.  Diverges at x = 0."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    x = np.asarray(x, dtype=float)
+    x = _finite("remainder_deriv", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if np.any(x <= 0):
@@ -177,10 +259,10 @@ def remainder_deriv(x, order: int = 1):
 
 def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
-    for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x)."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    x = np.asarray(x, dtype=float)
+    for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
+    lam must be positive and every x finite."""
+    _check_lam(lam)
+    x = _finite("psi", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.zeros_like(x)
@@ -192,9 +274,8 @@ def psi(lam: float, x):
 
 def psi_point(lam: float, x: float) -> EigenfunctionEval:
     """Single-point evaluation with the remainder reported separately."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    x = float(x)
+    _check_lam(lam)
+    x = float(_finite("psi_point", x))
     if x <= 0:
         return EigenfunctionEval(lam, x, 0.0, 0.0)
     rr = float(remainder(lam * x))
@@ -329,12 +410,9 @@ def heat_kernel_spectral(t: float, x: float, y: float,
     spec = QuadratureSpec(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
                           max_subdivisions=int(200 + 40 * lam_max * (x + y)))
 
-    def psi_vals(lam, pt):
-        lx = lam * pt
-        return np.sin(lx + _PI / 8.0) - remainder(np.abs(lx))
-
     def integrand(lam):
-        return (2.0 / _PI) * psi_vals(lam, x) * psi_vals(lam, y) * np.exp(-lam * t)
+        return ((2.0 / _PI) * psi(1.0, lam * x) * psi(1.0, lam * y)
+                * np.exp(-lam * t))
 
     pts = [k / t for k in (0.5, 1, 2, 4, 8) if k / t < lam_max]
     return integrate(integrand, (0.0, lam_max), spec, points=pts)

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyspec import (DomainError, PoleError, QuadratureSpec, eta,
-                        exp_eta, f_exit, integrate, laplace_psi, psi,
-                        psi_point, remainder, remainder_deriv)
-from cauchyspec.halfline import remainder_weight
+                        exp_eta, f_exit, heat_kernel_spectral, integrate,
+                        laplace_psi, psi, psi_point, remainder,
+                        remainder_deriv)
+from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
+                                 _TABLE_PER_DECADE, PSI_SUP,
+                                 _laplace_of_weight, _remainder_from_table,
+                                 remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -43,6 +47,86 @@ def test_remainder_is_below_origin_value():
 def test_remainder_rejects_negative():
     with pytest.raises(DomainError):
         remainder(-1.0)
+
+
+#: largest relative deviation of the table from the rule it was built from
+TABLE_RTOL = 4e-15
+
+
+def _table_deviation(xs):
+    xs = np.asarray(xs, dtype=float)
+    return np.abs(remainder(xs) / _laplace_of_weight(xs) - 1.0).max()
+
+
+def _ulp_steps(x, n):
+    """x and its n nearest floats on either side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+def test_remainder_table_matches_rule():
+    xs = np.geomspace(_TABLE_LO, _TABLE_HI, 40001)
+    assert _table_deviation(xs) <= TABLE_RTOL
+
+
+def test_remainder_table_seams():
+    # every panel edge, the two range limits among them
+    edges = _TABLE_LO * 10.0 ** (np.arange(_TABLE_PANELS + 1) / _TABLE_PER_DECADE)
+    xs = np.concatenate([_ulp_steps(e, 4) for e in edges])
+    assert _table_deviation(xs) <= TABLE_RTOL
+
+
+def test_remainder_monotone_across_table_limits():
+    # outside the table r comes from the Laplace rule
+    for lim in (_TABLE_LO, _TABLE_HI):
+        xs = lim * (1.0 + 1e-6 * np.arange(-50, 51))
+        assert np.all(np.diff(remainder(xs)) <= 0.0)
+
+
+def test_remainder_table_top_edge_index():
+    # the top of the range lies on the edge of a 33rd panel that does not
+    # exist: log(1e4) gives index 32 of 32 exactly, so the index is clipped
+    xs = np.array([9999.999999, np.nextafter(_TABLE_HI, 0.0), _TABLE_HI])
+    table = _remainder_from_table(xs)
+    assert np.all(np.abs(table / _laplace_of_weight(xs) - 1.0) <= TABLE_RTOL)
+    assert np.all(remainder(xs[:2]) == table[:2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_remainder_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        remainder(bad)
+    with pytest.raises(DomainError):
+        remainder(np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_remainder_deriv_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        remainder_deriv(bad)
+    with pytest.raises(DomainError):
+        remainder_deriv(np.array([1.0, bad]), 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        psi(1.0, bad)
+    with pytest.raises(DomainError):
+        psi(1.0, np.array([0.5, bad]))
+    with pytest.raises(DomainError):
+        psi(bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_point_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        psi_point(1.0, bad)
+    with pytest.raises(DomainError):
+        psi_point(bad, 1.0)
 
 
 def test_total_monotonicity_spot_checks():
@@ -166,3 +250,25 @@ def test_f_exit_values():
     vals = f_exit(ss)
     assert np.all(vals > 0)
     assert np.all(vals < 0.5)  # bounded
+
+
+def test_heat_kernel_spectral_uses_psi_unchanged():
+    # the spectral kernel evaluates psi through psi(1, lam*x); this is the
+    # formula it used to inline, and the values must agree bit for bit
+    def inline(t, x, y, tol=1e-9):
+        lam_max = math.log(2.0 * PSI_SUP**2 / (math.pi * t * 0.5 * tol)) / t
+        spec = QuadratureSpec(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
+                              max_subdivisions=int(200 + 40 * lam_max * (x + y)))
+
+        def psi_vals(lam, pt):
+            lx = lam * pt
+            return np.sin(lx + math.pi / 8.0) - remainder(np.abs(lx))
+
+        def integrand(lam):
+            return (2.0 / math.pi) * psi_vals(lam, x) * psi_vals(lam, y) * np.exp(-lam * t)
+
+        pts = [k / t for k in (0.5, 1, 2, 4, 8) if k / t < lam_max]
+        return integrate(integrand, (0.0, lam_max), spec, points=pts)
+
+    for t, x, y in ((1.0, 0.6, 1.4), (0.5, 2.0, 0.3), (2.0, 1.0, 1.0)):
+        assert heat_kernel_spectral(t, x, y) == inline(t, x, y)
