@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .errors import (BracketInversion, CauchySpecError, DegeneratePencil,
                      DomainError, GridTooCoarse, NonConvergence,
-                     NotPositiveDefinite, PoleError, PrecisionExhausted)
+                     NotPositiveDefinite, PoleError)
 from .halfline import (EigenfunctionEval, ExitLaw, KernelTable, exit_density,
                        exit_law, exit_mass, f_exit, heat_kernel,
                        heat_kernel_spectral, heat_kernel_table, laplace_psi,
@@ -23,7 +23,6 @@ from .interval import (REFERENCE_BRACKETS, ApproxEigenfunction, BasisMatrix,
 from .linalg import SymMatrix, generalized_sym_eig, solve_spd, sym_eig
 from .montecarlo import (McConfig, McEstimate, estimate_survival,
                          refinement_study, sample_cauchy_increments)
-from .precision import PrecisionContext
 from .quadrature import GridFunction, QuadratureSpec, integrate, integrate_pv
 from .specialfun import CATALAN, b_complex, b_real, eta, exp_eta, ti2
 
@@ -31,12 +30,11 @@ __all__ = [
     "__version__",
     # errors
     "CauchySpecError", "NonConvergence", "DomainError", "PoleError",
-    "NotPositiveDefinite", "GridTooCoarse", "PrecisionExhausted",
-    "BracketInversion", "DegeneratePencil",
+    "NotPositiveDefinite", "GridTooCoarse", "BracketInversion",
+    "DegeneratePencil",
     # numerics
     "QuadratureSpec", "GridFunction", "integrate", "integrate_pv",
     "SymMatrix", "sym_eig", "solve_spd", "generalized_sym_eig",
-    "PrecisionContext",
     # special functions
     "CATALAN", "ti2", "eta", "exp_eta", "b_complex", "b_real",
     # half-line

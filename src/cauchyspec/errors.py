@@ -34,10 +34,6 @@ class GridTooCoarse(CauchySpecError):
     """Grid spacing cannot resolve the oscillation of the integrand."""
 
 
-class PrecisionExhausted(CauchySpecError):
-    """Fewer significant digits survived an assembly than required."""
-
-
 class BracketInversion(CauchySpecError):
     """A computed lower eigenvalue bound exceeded the matching upper bound."""
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, PoleError
 from .quadrature import GridFunction, QuadratureSpec, integrate
-from .specialfun import b_complex, eta
+from .specialfun import _finite, b_complex, eta
 
 __all__ = [
     "EigenfunctionEval", "KernelTable", "ExitLaw",
@@ -200,17 +200,10 @@ def _remainder_from_table(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(name: str, x) -> np.ndarray:
-    """``x`` as a float array, or DomainError if any entry is NaN or inf."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name} requires finite arguments")
-    return x
-
-
-def _check_lam(lam) -> None:
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError("lam must be positive and finite")
+def _check_positive(names: str, *values: float) -> None:
+    """DomainError unless every value is positive and finite (NaN is not)."""
+    if not all(0.0 < v < math.inf for v in values):
+        raise DomainError(f"{names} must be positive and finite")
 
 
 def remainder(x):
@@ -223,11 +216,9 @@ def remainder(x):
     within 4e-15 relative of it, at a small fraction of the rule's cost per
     point; every other x goes through the rule and its closed-form tail.
     NaN and +-inf raise DomainError."""
-    x = _finite("remainder", x)
+    x = _finite("remainder", x, low=0.0)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise DomainError("remainder requires x >= 0")
     table = (x > _TABLE_LO) & (x < _TABLE_HI)
     if table.all():
         out = _remainder_from_table(x)
@@ -261,7 +252,7 @@ def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
     for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
     lam must be positive and every x finite."""
-    _check_lam(lam)
+    _check_positive("lam", lam)
     x = _finite("psi", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -274,7 +265,7 @@ def psi(lam: float, x):
 
 def psi_point(lam: float, x: float) -> EigenfunctionEval:
     """Single-point evaluation with the remainder reported separately."""
-    _check_lam(lam)
+    _check_positive("lam", lam)
     x = float(_finite("psi_point", x))
     if x <= 0:
         return EigenfunctionEval(lam, x, 0.0, 0.0)
@@ -284,12 +275,12 @@ def psi_point(lam: float, x: float) -> EigenfunctionEval:
 
 def laplace_psi(lam: float, z: complex) -> complex:
     """Laplace transform of psi(lam, .):
-    (sqrt(2)/2) * lam * e^{b(z/lam)} / (lam^2 + z^2)  for Re z > 0."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    (sqrt(2)/2) * lam * e^{b(z/lam)} / (lam^2 + z^2)  for finite z with
+    Re z > 0."""
+    _check_positive("lam", lam)
     z = complex(z)
-    if z.real <= 0:
-        raise DomainError("laplace_psi requires Re z > 0")
+    if not (0.0 < z.real < math.inf and math.isfinite(z.imag)):
+        raise DomainError("laplace_psi requires finite z with Re z > 0")
     if abs(z - 1j * lam) < 1e-14 * lam or abs(z + 1j * lam) < 1e-14 * lam:
         raise PoleError("z coincides with a pole at +-i lam")
     w = z / lam
@@ -304,12 +295,10 @@ def laplace_psi(lam: float, z: complex) -> complex:
 def f_exit(s):
     """Exit kernel f(s) = (1/pi) s/(1+s^2) e^{eta(s)} for s >= 0 (vanishes
     at 0, positive and bounded).  Equals s^{1-arctan(s)/pi} (1+s^2)^{-3/4}
-    e^{Ti2(s)/pi} / pi."""
-    s = np.asarray(s, dtype=float)
+    e^{Ti2(s)/pi} / pi.  NaN and +-inf raise DomainError."""
+    s = _finite("f_exit", s, low=0.0)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    if np.any(s < 0):
-        raise DomainError("f_exit requires s >= 0")
     out = np.zeros_like(s)
     p = s > 0
     sp = s[p]
@@ -329,9 +318,8 @@ def _f_over_s(s, x: float):
 def exit_density(x: float, t):
     """Density of the first exit time from (0, inf) started at x:
     f(t/x)/t.  Scales as density(x, t) = density(1, t/x)/x."""
-    if x <= 0:
-        raise DomainError("x must be positive")
-    t = np.asarray(t, dtype=float)
+    _check_positive("x", x)
+    t = _finite("exit_density", t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     if np.any(t <= 0):
@@ -344,8 +332,7 @@ def survival(x: float, t: float, spec: QuadratureSpec | None = None) -> float:
     """P(exit time > t) for the process started at x > 0:
     1 - int_0^t f(s/x)/s ds.  Decreasing in t, between 0 and 1, and at least
     (2/pi) arctan(x/t)."""
-    if x <= 0 or t <= 0:
-        raise DomainError("x and t must be positive")
+    _check_positive("x, t", x, t)
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     mass = integrate(lambda s: _f_over_s(s, x), (0.0, t), spec, points=(x,))
     return 1.0 - mass
@@ -359,6 +346,7 @@ def exit_mass(x: float, horizon: float | None = None,
     uses f(s)/s <= e^{C/pi}/(pi) (1+s^2)^{-3/4} <= e^{C/pi}/pi s^{-3/2},
     so  tail(T) <= 2 e^{C/pi} / (pi sqrt(T)).
     """
+    _check_positive("x", x)
     from .specialfun import CATALAN
     c_tail = 2.0 * math.exp(CATALAN / _PI) / _PI
     if horizon is None:
@@ -379,8 +367,7 @@ def heat_kernel(t: float, x: float, y: float,
     with p_t the free Cauchy kernel.  Symmetric in (x, y), between 0 and
     p_t(x-y), with the scaling b*p^D_{bt}(bx, by) = p^D_t(x, y).
     """
-    if t <= 0 or x <= 0 or y <= 0:
-        raise DomainError("t, x, y must be positive")
+    _check_positive("t, x, y", t, x, y)
     spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     cauchy = t / (_PI * (t * t + (x - y) ** 2))
 
@@ -402,8 +389,8 @@ def heat_kernel_spectral(t: float, x: float, y: float,
     (2/pi) PSI_SUP^2 e^{-L t}/t falls below tol; agreement with the closed
     form is limited only by the quadrature tolerance.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_positive("t", t)
+    _finite("heat_kernel_spectral", (x, y))
     if x <= 0 or y <= 0:
         return 0.0                      # psi vanishes off the half-line
     lam_max = math.log(2.0 * PSI_SUP**2 / (_PI * t * 0.5 * tol)) / t

@@ -18,6 +18,9 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   span(f_1..f_N) with f_n = 2 sqrt(1+cos x) g_n leaves the matrix pencil
   D a = lambda (I - C^T B^{-1} C) a  plus the untouched modes k > N+1.
 
+Both pipelines assemble and solve in float64: nothing in either assembly
+cancels, so no precision setting exists.
+
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
 generator they are tested against, and reconstruction of the Rayleigh-Ritz
@@ -38,7 +41,6 @@ from scipy.special import eval_legendre
 from .errors import BracketInversion, CauchySpecError, DomainError
 from .halfline import psi
 from .linalg import SymMatrix, generalized_sym_eig, solve_spd, sym_eig
-from .precision import PrecisionContext
 from .quadrature import GridFunction, QuadratureSpec, integrate
 
 __all__ = [
@@ -50,9 +52,6 @@ __all__ = [
 ]
 
 _PI = math.pi
-
-#: precision tag of every float64 matrix the bound pipelines assemble
-ASSEMBLY_DIGITS = 16
 
 #: published 12-digit reference brackets for the first ten eigenvalues,
 #: used for validation only (never consumed by the solvers).
@@ -96,11 +95,9 @@ class EigBound:
 
 @dataclass
 class BasisMatrix:
-    """A matrix from the bound pipelines, tagged with its role and the
-    precision its assembly guaranteed."""
+    """A float64 matrix from the bound pipelines, tagged with its role."""
     role: str
     entries: np.ndarray
-    precision_digits: int
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def _beta(k: int) -> int:
     return comb(k, k // 2)
 
 
-def green_moment(m: int, n: int, ctx: PrecisionContext | None = None) -> float:
+def green_moment(m: int, n: int) -> float:
     """Moment of the interval Green operator against monomials:
     int int x^m G(x,y) y^n dx dy = pi beta_m beta_n / (2^{m+n} (m+n+2))
     for m + n even, 0 otherwise.  Symmetric and positive when nonzero."""
@@ -246,13 +243,11 @@ def green_moment(m: int, n: int, ctx: PrecisionContext | None = None) -> float:
         raise DomainError("m, n must be nonnegative")
     if (m + n) % 2 == 1:
         return 0.0
-    ctx = ctx or PrecisionContext.from_env()
     # int / int true division rounds correctly
-    return ctx.pi() * (_beta(m) * _beta(n) / ((1 << (m + n)) * (m + n + 2)))
+    return _PI * (_beta(m) * _beta(n) / ((1 << (m + n)) * (m + n + 2)))
 
 
-def assemble_rayleigh_ritz(N: int,
-                           ctx: PrecisionContext | None = None) -> BasisMatrix:
+def assemble_rayleigh_ritz(N: int) -> BasisMatrix:
     """Matrix of the Green operator in the first N orthonormal Legendre
     polynomials, in float64 from its Gram form
 
@@ -263,8 +258,7 @@ def assemble_rayleigh_ritz(N: int,
     the three-term recurrence on a grid of z = s cos t: N+2 Gauss-Legendre
     points in s and N//2+2 midpoints in t integrate every entry exactly, so
     the only error is rounding, about 1e-14 ||A||_2.  The rule grows with N,
-    so entries shared by two basis sizes agree to that level, not bitwise.
-    ``ctx`` is accepted for compatibility and does not change the numbers."""
+    so entries shared by two basis sizes agree to that level, not bitwise."""
     if N < 1:
         raise DomainError("N must be >= 1")
     x, w = np.polynomial.legendre.leggauss(N + 2)
@@ -283,18 +277,17 @@ def assemble_rayleigh_ritz(N: int,
     A = _PI * 0.5 * (A + A.T) * np.outer(nu, nu)
     k = np.arange(N)
     A[(k[:, None] + k[None, :]) % 2 == 1] = 0.0
-    return BasisMatrix("A_N", A, ASSEMBLY_DIGITS)
+    return BasisMatrix("A_N", A)
 
 
-def upper_bounds(N: int, count: int | None = None,
-                 ctx: PrecisionContext | None = None) -> np.ndarray:
+def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     """Rayleigh-Ritz upper bounds: 1/theta for the descending eigenvalues
     theta of A_N.  Non-increasing in N by min-max over nested subspaces,
     up to the rounding of assembly and eigensolve (about 1e-14 relative)."""
     count = N if count is None else count
     if count > N:
         raise DomainError("count must not exceed the basis size")
-    A = assemble_rayleigh_ritz(N, ctx).entries
+    A = assemble_rayleigh_ritz(N).entries
     theta, _ = sym_eig(SymMatrix(A))
     theta = theta[::-1][:count]
     if np.any(theta <= 0):
@@ -338,9 +331,8 @@ def assemble_intermediate(N: int):
         C[row, n] = -1.0
     S = np.eye(K) - C.T @ solve_spd(SymMatrix(B), C)
     d = np.arange(1.0, K + 1.0)
-    return (BasisMatrix("C", C, ASSEMBLY_DIGITS),
-            BasisMatrix("Gram_B", B, ASSEMBLY_DIGITS), d,
-            BasisMatrix("S", 0.5 * (S + S.T), ASSEMBLY_DIGITS))
+    return (BasisMatrix("C", C), BasisMatrix("Gram_B", B), d,
+            BasisMatrix("S", 0.5 * (S + S.T)))
 
 
 def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -369,14 +361,13 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     return np.array(merged)
 
 
-def bracket(n_max: int, N: int,
-            ctx: PrecisionContext | None = None) -> list[EigBound]:
+def bracket(n_max: int, N: int) -> list[EigBound]:
     """Certified brackets (lower, upper) for lambda_1 .. lambda_{n_max} at
     basis size N.  Raises :class:`BracketInversion` if any lower bound
     exceeds its upper bound (which would signal an assembly bug)."""
     if n_max > N:
         raise DomainError("n_max must not exceed N")
-    ups = upper_bounds(N, n_max, ctx)
+    ups = upper_bounds(N, n_max)
     los = lower_bounds(N, n_max)
     out = []
     for n in range(1, n_max + 1):
@@ -386,8 +377,7 @@ def bracket(n_max: int, N: int,
                 f"lower bound {lo!r} exceeds upper bound {up!r} for n={n}, "
                 f"N={N}")
         out.append(EigBound(n, N, lo, up,
-                            method_meta={"assembly_digits": ASSEMBLY_DIGITS,
-                                         "upper": "rayleigh-ritz",
+                            method_meta={"upper": "rayleigh-ritz",
                                          "lower": "intermediate-problems"}))
     return out
 

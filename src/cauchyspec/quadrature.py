@@ -69,12 +69,9 @@ _WGFULL[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])        # embedded G7
 class QuadratureSpec:
     """Tolerance and budget for one adaptive integration.
 
-    ``kind`` records how the domain is handled; it is chosen automatically by
-    :func:`integrate` / :func:`integrate_pv` and carried along for provenance.
     ``max_subdivisions`` caps the number of panel bisections.
     """
 
-    kind: str = "finite-adaptive"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_subdivisions: int = 4000
@@ -84,9 +81,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.kind not in ("finite-adaptive", "semi-infinite-via-substitution",
-                             "principal-value"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
 
 @dataclass
@@ -200,8 +194,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
         if math.isinf(a):
             raise ValueError("doubly infinite domains are not supported")
         shift = a
-        spec = QuadratureSpec("semi-infinite-via-substitution", spec.abs_tol,
-                              spec.rel_tol, spec.max_subdivisions)
 
         def g(u):
             t = u / (1.0 - u)
@@ -232,13 +224,11 @@ def integrate_pv(f: Callable[[np.ndarray], np.ndarray],
     odd part of the pole analytically; the remainder of the interval is
     regular and handled by the plain adaptive engine.
     """
-    base = spec or QuadratureSpec()
-    spec = QuadratureSpec("principal-value", base.abs_tol, base.rel_tol,
-                          base.max_subdivisions)
+    spec = spec or QuadratureSpec()
     a, b = float(domain[0]), float(domain[1])
     c = float(singularity)
     if not a < c < b:
-        return integrate(f, (a, b), base, points)
+        return integrate(f, (a, b), spec, points)
     d = min(c - a, b - c)
 
     def folded(u):
@@ -248,7 +238,7 @@ def integrate_pv(f: Callable[[np.ndarray], np.ndarray],
     core, _ = _adaptive(folded, [0.0, *pts, d] if pts else [0.0, d], spec)
     rest = 0.0
     if c - d > a:
-        rest += integrate(f, (a, c - d), base, points)
+        rest += integrate(f, (a, c - d), spec, points)
     if c + d < b:
-        rest += integrate(f, (c + d, b), base, points)
+        rest += integrate(f, (c + d, b), spec, points)
     return core + rest

@@ -36,6 +36,19 @@ _GL_V = 0.5 * (_GL_X + 1.0)          # nodes on (0, 1)
 _GL_WV = 0.5 * _GL_W
 
 
+def _finite(name: str, x, low: float | None = None) -> np.ndarray:
+    """``x`` as a float array, or DomainError unless every entry is finite
+    (and at least ``low``, if given)."""
+    x = np.asarray(x, dtype=float)
+    ok = np.isfinite(x)
+    if low is not None:
+        ok &= x >= low
+    if not ok.all():
+        raise DomainError(f"{name} requires finite arguments"
+                          + ("" if low is None else f" >= {low:g}"))
+    return x
+
+
 def _series(t: np.ndarray) -> np.ndarray:
     # sum (-1)^k t^{2k+1}/(2k+1)^2, |t| <= 1/2: 40 terms reach 1e-25
     s = np.zeros_like(t)
@@ -59,7 +72,7 @@ def ti2(t):
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if np.any(t < 0):
+    if not np.all(t >= 0):                 # False for NaN too
         raise DomainError("ti2 requires t >= 0")
     out = np.zeros_like(t)
     small = t <= 0.5
@@ -80,9 +93,10 @@ def eta(t):
     """eta(t) = log(1+t^2)/4 - (1/pi) int_0^t log|s|/(1+s^2) ds, any real t.
 
     For t > 0 the integral has the closed form arctan(t) log t - Ti2(t);
-    negative arguments use eta(-t) = -eta(t) + log sqrt(1+t^2).
+    negative arguments use eta(-t) = -eta(t) + log sqrt(1+t^2).  NaN and
+    +-inf raise DomainError.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite("eta", t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     a = np.abs(t)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyspec import (DomainError, PoleError, QuadratureSpec, eta,
-                        exp_eta, f_exit, heat_kernel_spectral, integrate,
+                        exit_density, exit_law, exit_mass, exp_eta, f_exit,
+                        heat_kernel, heat_kernel_spectral, integrate,
                         laplace_psi, psi, psi_point, remainder,
-                        remainder_deriv)
+                        remainder_deriv, survival, ti2)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -127,6 +128,35 @@ def test_psi_point_rejects_non_finite(bad):
         psi_point(1.0, bad)
     with pytest.raises(DomainError):
         psi_point(bad, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+#: calls that used to return 0, 1, NaN or an untyped error
+INVALID_CALLS = {
+    "f_exit(nan)": (f_exit, NAN),
+    "f_exit(inf)": (f_exit, INF),
+    "eta(nan)": (eta, NAN),
+    "ti2(nan)": (ti2, NAN),
+    "exit_density(nan,1)": (exit_density, NAN, 1.0),
+    "exit_density(1,[1,nan])": (exit_density, 1.0, [1.0, NAN]),
+    "survival(nan,1)": (survival, NAN, 1.0),
+    "survival(1,inf)": (survival, 1.0, INF),
+    "exit_law(1,[1,inf])": (exit_law, 1.0, [1.0, INF]),
+    "exit_mass(nan)": (exit_mass, NAN),
+    "heat_kernel(1,nan,1)": (heat_kernel, 1.0, NAN, 1.0),
+    "heat_kernel(1,inf,1)": (heat_kernel, 1.0, INF, 1.0),
+    "heat_kernel_spectral(1,nan,1)": (heat_kernel_spectral, 1.0, NAN, 1.0),
+    "laplace_psi(nan,1)": (laplace_psi, NAN, 1.0),
+    "laplace_psi(1,nan)": (laplace_psi, 1.0, complex(NAN, NAN)),
+}
+
+
+@pytest.mark.parametrize("call", INVALID_CALLS.values(), ids=INVALID_CALLS)
+def test_invalid_input_raises_domain_error(call):
+    fn, *args = call
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def test_total_monotonicity_spot_checks():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cauchyspec import (DomainError, PrecisionContext, QuadratureSpec,
-                        bracket, generator_apply,
-                        green_moment, lower_bounds, mu_asymptotic, q_cutoff,
+from cauchyspec import (DomainError, QuadratureSpec, bracket,
+                        generator_apply, green_moment, lower_bounds, mu_asymptotic, q_cutoff,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
 from cauchyspec.interval import (REFERENCE_BRACKETS, assemble_intermediate,
@@ -215,13 +214,6 @@ def test_assembly_leading_block_stable_in_basis():
     assert np.abs(a50 - a200[:50, :50]).max() <= 1e-13 * np.linalg.norm(a200, 2)
 
 
-def test_machine_and_extended_assembly_identical():
-    mach = assemble_rayleigh_ritz(40, PrecisionContext(15, "machine"))
-    ext = assemble_rayleigh_ritz(40, PrecisionContext(60, "extended"))
-    assert np.array_equal(mach.entries, ext.entries)
-    assert mach.precision_digits == ext.precision_digits == 16
-
-
 def test_bounds_nested_for_every_basis_size():
     # min-max over nested subspaces, up to the rounding of the eigensolves
     prev_up = prev_lo = None
@@ -335,7 +327,6 @@ def test_bracket_validation():
     brs = bracket(3, 10)
     for b in brs:
         assert b.lower <= b.upper
-        assert b.method_meta["assembly_digits"] == 16
 
 
 def test_brackets_contain_references_n50():

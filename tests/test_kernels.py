@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cauchyspec import (QuadratureSpec, exit_density, exit_law, exit_mass,
                         f_exit, heat_kernel, heat_kernel_spectral, integrate,
-                        psi, survival)
+                        survival)
 
 SPEC9 = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=6000)
 
@@ -108,16 +108,6 @@ def test_free_kernel_gap_estimate():
             assert -1e-12 <= gap <= cap + 1e-12
 
 
-def test_heat_kernel_mass_balance():
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=4000)
-    inner = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    total = integrate(
-        lambda ys: np.array([heat_kernel(1.0, 1.0, float(y), inner)
-                             for y in np.atleast_1d(ys)]),
-        (0.0, math.inf), spec)
-    assert total == pytest.approx(survival(1.0, 1.0), abs=1e-7)
-
-
 def test_heat_kernel_spectral_matches_closed_form():
     hc = heat_kernel(1.0, 0.5, 0.5)
     hs = heat_kernel_spectral(1.0, 0.5, 0.5, tol=1e-8)
@@ -137,15 +127,3 @@ def test_semigroup_property_at_desk_scale():
         (0.0, math.inf), spec)
     assert conv == pytest.approx(heat_kernel(t1 + t2, x, y), abs=1e-4)
 
-
-def test_eigenfunction_property_at_desk_scale():
-    # int p_{0.5}(0.7, y) psi_1(y) dy = e^{-0.5} psi_1(0.7), truncated at
-    # Y = 500 where the alternating tail is below 1e-5
-    lam, t, x, Y = 1.0, 0.5, 0.7, 500.0
-    inner = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8, max_subdivisions=8000)
-    val = integrate(
-        lambda ys: np.array([heat_kernel(t, x, float(y), inner)
-                             for y in np.atleast_1d(ys)]) * psi(lam, ys),
-        (0.0, Y), spec, points=tuple(np.arange(1, 80) * 2 * math.pi))
-    assert val == pytest.approx(math.exp(-lam * t) * psi(lam, x), abs=1e-4)
