@@ -14,8 +14,8 @@ from .halfline import (EigenfunctionEval, ExitLaw, KernelTable, exit_density,
                        heat_kernel_spectral, heat_kernel_table, laplace_psi,
                        pi_transform, psi, psi_point, remainder,
                        remainder_deriv, survival)
-from .interval import (REFERENCE_BRACKETS, ApproxEigenfunction, BasisMatrix,
-                       EigBound, approx_eigenfunction, assemble_intermediate,
+from .interval import (REFERENCE_BRACKETS, ApproxEigenfunction, EigBound,
+                       approx_eigenfunction, assemble_intermediate,
                        assemble_rayleigh_ritz, bracket, generator_apply,
                        green_moment, lower_bounds, mu_asymptotic, q_cutoff,
                        residual_norm, rr_eigenfunction, tilde_phi,
@@ -43,7 +43,7 @@ __all__ = [
     "exit_density", "survival", "exit_mass", "heat_kernel",
     "heat_kernel_spectral", "heat_kernel_table", "exit_law", "pi_transform",
     # interval
-    "REFERENCE_BRACKETS", "EigBound", "BasisMatrix", "ApproxEigenfunction",
+    "REFERENCE_BRACKETS", "EigBound", "ApproxEigenfunction",
     "mu_asymptotic", "q_cutoff", "tilde_phi", "approx_eigenfunction",
     "generator_apply", "residual_norm", "tilde_phi_norm2", "green_moment",
     "assemble_rayleigh_ritz", "upper_bounds", "assemble_intermediate",

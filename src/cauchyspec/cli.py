@@ -104,35 +104,32 @@ def cmd_eigs(cfg: RunConfig) -> int:
     from .interval import REFERENCE_BRACKETS, bracket, lower_bounds, upper_bounds
     p = cfg.params
     n_max, N, method = p["n_max"], p["basis"], p["method"]
-    cols = ["n", "lower", "upper", "midpoint", "reference_contained"]
-    rows = []
+    # one sequence per side, None where the method does not compute that side
     if method == "both":
         brackets = bracket(n_max, N)
-        for b in brackets:
-            ref = REFERENCE_BRACKETS.get(b.n)
-            contained = (b.lower <= ref[0] and ref[1] <= b.upper) if ref else None
-            rows.append([b.n, b.lower, b.upper, b.midpoint, contained])
-    elif method == "upper":
-        for n, up in enumerate(upper_bounds(N, n_max), start=1):
-            ref = REFERENCE_BRACKETS.get(n)
-            rows.append([n, None, float(up), None,
-                         (ref[1] <= up) if ref else None])
+        los = [b.lower for b in brackets]
+        ups = [b.upper for b in brackets]
     else:
-        for n, lo in enumerate(lower_bounds(N, n_max), start=1):
-            ref = REFERENCE_BRACKETS.get(n)
-            rows.append([n, float(lo), None, None,
-                         (lo <= ref[0]) if ref else None])
+        none = [None] * n_max
+        los = lower_bounds(N, n_max).tolist() if method == "lower" else none
+        ups = upper_bounds(N, n_max).tolist() if method == "upper" else none
+    cols = ["n", "lower", "upper", "midpoint", "reference_contained"]
+    rows = []
+    for n, lo, up in zip(range(1, n_max + 1), los, ups):
+        ref = REFERENCE_BRACKETS.get(n)
+        contained = ((lo is None or lo <= ref[0]) and (up is None or ref[1] <= up)
+                     if ref else None)
+        mid = 0.5 * (lo + up) if lo is not None and up is not None else None
+        rows.append([n, lo, up, mid, contained])
     _emit(cfg, {"meta": _meta(cfg), "columns": cols, "rows": rows})
     return 0
 
 
 def cmd_psi(cfg: RunConfig) -> int:
-    from .halfline import psi, remainder
+    from .halfline import _psi_with_remainder
     p = cfg.params
     xs = np.linspace(p["xmin"], p["xmax"], p["points"])
-    lam = p["lam"]
-    vals = psi(lam, xs)
-    rem = np.where(xs > 0, remainder(np.maximum(lam * xs, 0.0)), 0.0)
+    vals, rem = _psi_with_remainder(p["lam"], xs)
     rows = [[float(x), float(v), float(r)] for x, v, r in zip(xs, vals, rem)]
     _emit(cfg, {"meta": _meta(cfg), "columns": ["x", "psi", "remainder"],
                 "rows": rows})

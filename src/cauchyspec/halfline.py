@@ -248,29 +248,31 @@ def remainder_deriv(x, order: int = 1):
     return float(out[0]) if scalar else out
 
 
+def _psi_with_remainder(lam: float, x):
+    """psi(lam, x) and r(lam x) as two 1-D arrays, both 0 where x <= 0, with
+    r evaluated once per point.  lam must be positive and every x finite."""
+    _check_positive("lam", lam)
+    x = np.atleast_1d(_finite("psi", x))
+    vals, rem = np.zeros_like(x), np.zeros_like(x)
+    pos = x > 0
+    lx = lam * x[pos]
+    rem[pos] = remainder(lx)
+    vals[pos] = np.sin(lx + _PI / 8.0) - rem[pos]
+    return vals, rem
+
+
 def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
     for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
     lam must be positive and every x finite."""
-    _check_positive("lam", lam)
-    x = _finite("psi", x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    pos = x > 0
-    lx = lam * x[pos]
-    out[pos] = np.sin(lx + _PI / 8.0) - remainder(lx)
-    return float(out[0]) if scalar else out
+    vals, _ = _psi_with_remainder(lam, x)
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def psi_point(lam: float, x: float) -> EigenfunctionEval:
     """Single-point evaluation with the remainder reported separately."""
-    _check_positive("lam", lam)
-    x = float(_finite("psi_point", x))
-    if x <= 0:
-        return EigenfunctionEval(lam, x, 0.0, 0.0)
-    rr = float(remainder(lam * x))
-    return EigenfunctionEval(lam, x, math.sin(lam * x + _PI / 8.0) - rr, rr)
+    vals, rem = _psi_with_remainder(lam, x)
+    return EigenfunctionEval(lam, float(x), float(vals[0]), float(rem[0]))
 
 
 def laplace_psi(lam: float, z: complex) -> complex:

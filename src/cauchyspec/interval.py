@@ -17,9 +17,13 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   bounded multiplication operator; truncating T through the projection onto
   span(f_1..f_N) with f_n = 2 sqrt(1+cos x) g_n leaves the matrix pencil
   D a = lambda (I - C^T B^{-1} C) a  plus the untouched modes k > N+1.
+  The coupling C is two bands of -1 and the Gram matrix B is closed-form
+  (:func:`gram_entry`, evaluated on the whole index grid at once).
 
-Both pipelines assemble and solve in float64: nothing in either assembly
-cancels, so no precision setting exists.
+Both pipelines assemble and solve in float64 on plain arrays: nothing in
+either assembly cancels, so no precision setting exists.  The Ritz
+eigensolve of A_N is one function, shared by the upper bounds and the
+eigenfunctions, and nothing is cached between calls.
 
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -40,11 +43,12 @@ from scipy.special import eval_legendre
 
 from .errors import BracketInversion, CauchySpecError, DomainError
 from .halfline import psi
-from .linalg import SymMatrix, generalized_sym_eig, solve_spd, sym_eig
+from .linalg import generalized_sym_eig, solve_spd, sym_eig
 from .quadrature import GridFunction, QuadratureSpec, integrate
+from .specialfun import _finite
 
 __all__ = [
-    "ApproxEigenfunction", "EigBound", "BasisMatrix", "REFERENCE_BRACKETS",
+    "ApproxEigenfunction", "EigBound", "REFERENCE_BRACKETS",
     "mu_asymptotic", "q_cutoff", "tilde_phi", "approx_eigenfunction",
     "generator_apply", "residual_norm", "tilde_phi_norm2", "green_moment",
     "assemble_rayleigh_ritz", "upper_bounds", "assemble_intermediate",
@@ -93,13 +97,6 @@ class EigBound:
         return self.upper - self.lower
 
 
-@dataclass
-class BasisMatrix:
-    """A float64 matrix from the bound pipelines, tagged with its role."""
-    role: str
-    entries: np.ndarray
-
-
 @dataclass(frozen=True)
 class ApproxEigenfunction:
     """Glued half-line approximation to the n-th interval eigenfunction."""
@@ -118,8 +115,9 @@ class ApproxEigenfunction:
 
 def q_cutoff(x):
     """Piecewise-quadratic C^1 ramp: 0 below -1/3, 1 above 1/3, and
-    9/2 (x+1/3)^2 resp. 1 - 9/2 (x-1/3)^2 in between; q(x) + q(-x) = 1."""
-    x = np.asarray(x, dtype=float)
+    9/2 (x+1/3)^2 resp. 1 - 9/2 (x-1/3)^2 in between; q(x) + q(-x) = 1.
+    NaN and +-inf raise DomainError."""
+    x = _finite("q_cutoff", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.where(
@@ -140,12 +138,12 @@ def tilde_phi(n: int, x):
         q(-x) psi(mu_n, 1+x) + (-1)^{n+1} q(x) psi(mu_n, 1-x)
 
     (sign + for odd n, - for even), supported on (-1, 1), symmetric for odd
-    n and antisymmetric for even n."""
+    n and antisymmetric for even n.  NaN and +-inf raise DomainError."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     mu = mu_asymptotic(n)
     sgn = 1.0 if n % 2 == 1 else -1.0
-    x = np.asarray(x, dtype=float)
+    x = _finite("tilde_phi", x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.zeros_like(x)
@@ -247,7 +245,7 @@ def green_moment(m: int, n: int) -> float:
     return _PI * (_beta(m) * _beta(n) / ((1 << (m + n)) * (m + n + 2)))
 
 
-def assemble_rayleigh_ritz(N: int) -> BasisMatrix:
+def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     """Matrix of the Green operator in the first N orthonormal Legendre
     polynomials, in float64 from its Gram form
 
@@ -277,7 +275,14 @@ def assemble_rayleigh_ritz(N: int) -> BasisMatrix:
     A = _PI * 0.5 * (A + A.T) * np.outer(nu, nu)
     k = np.arange(N)
     A[(k[:, None] + k[None, :]) % 2 == 1] = 0.0
-    return BasisMatrix("A_N", A)
+    return A
+
+
+def _ritz(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues theta of A_N in descending order, with the matching
+    orthonormal eigenvectors as columns."""
+    theta, vec = sym_eig(assemble_rayleigh_ritz(N))
+    return theta[::-1], vec[:, ::-1]
 
 
 def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -287,9 +292,7 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     count = N if count is None else count
     if count > N:
         raise DomainError("count must not exceed the basis size")
-    A = assemble_rayleigh_ritz(N).entries
-    theta, _ = sym_eig(SymMatrix(A))
-    theta = theta[::-1][:count]
+    theta = _ritz(N)[0][:count]
     if np.any(theta <= 0):
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
                               "definite; assembly is broken")
@@ -300,65 +303,53 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
 # intermediate problems (lower bounds)
 
 
-def gram_entry(m: int, n: int) -> float:
+def gram_entry(m, n):
     """Gram entry of the glued strip basis f_n = 2 sqrt(1+cos x) g_n:
     b_{mn} = 4 delta_{mn} + (8/pi) [1/(1-(m-n)^2) - 1/(1-(m+n)^2)] for
     m+n even, else 0 (derived from the product-to-sum identity and verified
-    against direct quadrature)."""
-    if (m + n) % 2 == 1:
-        return 0.0
-    val = 8.0 / _PI * (1.0 / (1.0 - (m - n) ** 2) - 1.0 / (1.0 - (m + n) ** 2))
-    if m == n:
-        val += 4.0
-    return val
+    against direct quadrature).  ``m`` and ``n`` are integers or integer
+    arrays that broadcast together; a float for scalars, else an array."""
+    m, n = np.asarray(m), np.asarray(n)
+    even = (m + n) % 2 == 0
+    # odd-parity entries are 0; their differences are replaced by 0 so that
+    # (m-n)^2 = 1 never reaches a denominator
+    dm, dp = np.where(even, m - n, 0), np.where(even, m + n, 0)
+    val = 8.0 / _PI * (1.0 / (1.0 - dm ** 2) - 1.0 / (1.0 - dp ** 2))
+    val = np.where(even, val + 4.0 * (m == n), 0.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def assemble_intermediate(N: int):
-    """Matrices of the truncated intermediate problem at basis size N:
-    returns (C, B, d, S) with C the N x (N+1) two-band coupling matrix
-    (T f_n = -g_{n-1} - g_{n+1}), B the Gram matrix, d = (1, ..., N+1) the
-    exact eigenvalues of the Dirichlet-Neumann operator, and
+    """Arrays of the truncated intermediate problem at basis size N:
+    returns (C, B, d, S) with C = -(two bands of ones), the N x (N+1)
+    coupling matrix of T f_n = -g_{n-1} - g_{n+1}; B the N x N Gram matrix,
+    :func:`gram_entry` on the index grid 1..N; d = (1, ..., N+1) the exact
+    eigenvalues of the Dirichlet-Neumann operator; and the symmetrized
     S = I - C^T B^{-1} C."""
     if N < 1:
         raise DomainError("N must be >= 1")
     K = N + 1
-    B = np.array([[gram_entry(m, n) for n in range(1, N + 1)]
-                  for m in range(1, N + 1)])
-    C = np.zeros((N, K))
-    for row, n in enumerate(range(1, N + 1)):
-        if n - 2 >= 0:
-            C[row, n - 2] = -1.0
-        C[row, n] = -1.0
-    S = np.eye(K) - C.T @ solve_spd(SymMatrix(B), C)
+    k = np.arange(1, K)
+    B = gram_entry(k[:, None], k[None, :])
+    C = -(np.eye(N, K, 1) + np.eye(N, K, -1))
+    S = np.eye(K) - C.T @ solve_spd(B, C)
     d = np.arange(1.0, K + 1.0)
-    return (BasisMatrix("C", C), BasisMatrix("Gram_B", B), d,
-            BasisMatrix("S", 0.5 * (S + S.T)))
+    return C, B, d, 0.5 * (S + S.T)
 
 
 def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
-    """Lower bounds from the intermediate problem: eigenvalues of the pencil
-    D a = lambda S a merged, in nondecreasing order, with the untouched
-    trivial eigenvalues K+1, K+2, ...  Non-decreasing in N."""
+    """Lower bounds from the intermediate problem: the ``count`` smallest of
+    the positive eigenvalues of the pencil D a = lambda S a together with
+    the untouched trivial eigenvalues K+1, K+2, ... (K = N+1), in
+    nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
+    Non-decreasing in N."""
     count = N + 1 if count is None else count
     if count > N + 1:
         raise DomainError("count must not exceed N + 1")
     _, _, d, S = assemble_intermediate(N)
-    K = N + 1
-    lam = generalized_sym_eig(S.entries, d)
-    lam = lam[lam > 0]
-    # pencil eigenvalues above K+1 do occur for N >= 13; the merge below
-    # keeps the ordering correct regardless
-    merged = []
-    trivial = float(K + 1)
-    i = 0
-    while len(merged) < count:
-        if i < lam.size and lam[i] <= trivial:
-            merged.append(float(lam[i]))
-            i += 1
-        else:
-            merged.append(trivial)
-            trivial += 1.0
-    return np.array(merged)
+    lam = generalized_sym_eig(S, d)
+    trivial = np.arange(N + 2.0, N + 2.0 + count)
+    return np.sort(np.concatenate([lam[lam > 0], trivial]))[:count]
 
 
 def bracket(n_max: int, N: int) -> list[EigBound]:
@@ -386,20 +377,13 @@ def bracket(n_max: int, N: int) -> list[EigBound]:
 # Rayleigh-Ritz eigenfunctions
 
 
-@lru_cache(maxsize=8)
-def _rr_eigvectors(N: int):
-    A = assemble_rayleigh_ritz(N).entries
-    theta, vec = sym_eig(SymMatrix(A))
-    return theta[::-1], vec[:, ::-1]
-
-
 def rr_eigenfunction(n: int, N: int, n_grid: int = 2001) -> GridFunction:
     """The n-th Rayleigh-Ritz eigenfunction on a uniform (-1, 1) grid, as a
     unit-L2-norm combination of orthonormal Legendre polynomials, sign-fixed
     so its inner product with tilde_phi_n is positive."""
     if n > N:
         raise DomainError("n must not exceed N")
-    _, vec = _rr_eigvectors(N)
+    _, vec = _ritz(N)
     coeff = vec[:, n - 1]
     xs = np.linspace(-1.0, 1.0, n_grid)
     degs = np.arange(N)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .halfline import _check_positive
+
 __all__ = ["McConfig", "McEstimate", "sample_cauchy_increments",
            "estimate_survival", "refinement_study"]
 
@@ -60,7 +62,9 @@ def sample_cauchy_increments(scale: float, rng: np.random.Generator,
 
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     """Alive counts at horizon t for each monitoring stride (multiples of
-    cfg.dt), sharing one simulated path set per batch."""
+    cfg.dt), sharing one simulated path set per batch.  Non-finite or
+    non-positive x and t raise DomainError."""
+    _check_positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise ValueError("t must be a multiple of dt")
@@ -94,8 +98,6 @@ def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:
     """Estimate P(exit time > t) for the process started at x > 0 by
     discrete monitoring at multiples of cfg.dt.  Biased upward; the standard
     error is the binomial sqrt(p(1-p)/paths)."""
-    if x <= 0 or t <= 0:
-        raise ValueError("x and t must be positive")
     counts, used = _survive_batches(x, t, cfg)
     p = counts[0] / used
     return McEstimate(float(p), math.sqrt(max(p * (1 - p), 1e-12) / used), used)

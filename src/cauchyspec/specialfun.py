@@ -78,7 +78,9 @@ def ti2(t):
     small = t <= 0.5
     big = t >= 2.0
     mid = ~small & ~big
-    out[small] = _series(t[small])
+    ts = t[small]
+    if ts.size:
+        out[small] = _series(ts)
     tb = t[big]
     if tb.size:
         out[big] = _series(1.0 / tb) + 0.5 * _PI * np.log(tb)

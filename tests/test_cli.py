@@ -49,12 +49,18 @@ def test_eigs_csv_contains_references(tmp_path):
     assert float(rows[0][1]) <= 1.157773883697 <= float(rows[0][2])
 
 
-def test_eigs_upper_only(tmp_path):
-    code, text = run_cli(["eigs", "--n-max", "1", "--basis", "1",
-                          "--method", "upper"], tmp_path)
+@pytest.mark.parametrize("method", ["upper", "lower"])
+def test_eigs_one_side(method, tmp_path):
+    args = ["eigs", "--n-max", "10", "--basis", "25", "--format", "json"]
+    _, both = run_cli(args, tmp_path, "both")
+    code, text = run_cli([*args, "--method", method], tmp_path, method)
     assert code == 0
-    row = [l for l in text.splitlines() if not l.startswith("#")][1].split(",")
-    assert float(row[2]) == pytest.approx(4.0 / math.pi, rel=1e-12)
+    rows, ref = json.loads(text)["rows"], json.loads(both)["rows"]
+    col, other = (2, 1) if method == "upper" else (1, 2)
+    assert [r[col] for r in rows] == [r[col] for r in ref]
+    # the side not computed and the midpoint are empty; containment holds
+    assert all(r[other] is None and r[3] is None and r[4] is True
+               for r in rows)
 
 
 def test_eigs_json_validates_against_schema(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (DomainError, PoleError, QuadratureSpec, eta,
-                        exit_density, exit_law, exit_mass, exp_eta, f_exit,
-                        heat_kernel, heat_kernel_spectral, integrate,
-                        laplace_psi, psi, psi_point, remainder,
-                        remainder_deriv, survival, ti2)
+from cauchyspec import (DomainError, McConfig, PoleError, QuadratureSpec, eta,
+                        estimate_survival, exit_density, exit_law, exit_mass,
+                        exp_eta, f_exit, heat_kernel, heat_kernel_spectral,
+                        integrate, laplace_psi, psi, psi_point, q_cutoff,
+                        refinement_study, remainder, remainder_deriv,
+                        survival, tilde_phi, ti2)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -149,6 +150,12 @@ INVALID_CALLS = {
     "heat_kernel_spectral(1,nan,1)": (heat_kernel_spectral, 1.0, NAN, 1.0),
     "laplace_psi(nan,1)": (laplace_psi, NAN, 1.0),
     "laplace_psi(1,nan)": (laplace_psi, 1.0, complex(NAN, NAN)),
+    "q_cutoff(nan)": (q_cutoff, NAN),
+    "q_cutoff(inf)": (q_cutoff, INF),
+    "tilde_phi(1,nan)": (tilde_phi, 1, NAN),
+    "estimate_survival(nan,1)": (estimate_survival, NAN, 1.0, McConfig()),
+    "refinement_study(nan,1)": (refinement_study, NAN, 1.0, McConfig()),
+    "refinement_study(-1,1)": (refinement_study, -1.0, 1.0, McConfig()),
 }
 
 
@@ -181,15 +188,6 @@ def test_remainder_deriv_vs_finite_difference():
     assert remainder_deriv(1.0, 1) == pytest.approx(fd, abs=1e-6)
     with pytest.raises(DomainError):
         remainder_deriv(0.0, 1)
-
-
-def test_remainder_l1_and_l2_norms():
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=8000)
-    l1 = integrate(lambda x: remainder(x), (0.0, math.inf), spec)
-    assert l1 == pytest.approx(math.cos(math.pi / 8.0) - SQ2 / 2.0, abs=1e-9)
-    assert 0.216 < l1 < 0.217
-    l2sq = integrate(lambda x: remainder(x) ** 2, (0.0, math.inf), spec)
-    assert 0.012 < l2sq < 0.037
 
 
 def test_psi_vanishes_off_halfline():

@@ -147,7 +147,7 @@ def test_green_moment_vs_2d_quadrature(m, n):
 
 
 def test_rayleigh_ritz_matrix_structure():
-    A = assemble_rayleigh_ritz(20).entries
+    A = assemble_rayleigh_ritz(20)
     # parity zeros and exact symmetry
     for m in range(20):
         for n in range(20):
@@ -203,14 +203,14 @@ def assemble_exact(N):
 @pytest.mark.parametrize("N", [25, 150])
 def test_float_assembly_matches_exact_oracle(N):
     exact = assemble_exact(N)
-    A = assemble_rayleigh_ritz(N).entries
+    A = assemble_rayleigh_ritz(N)
     assert np.abs(A - exact).max() <= 1e-14 * np.linalg.norm(exact, 2)
 
 
 def test_assembly_leading_block_stable_in_basis():
     # the quadrature rule grows with N, so shared entries agree to rounding
-    a50 = assemble_rayleigh_ritz(50).entries
-    a200 = assemble_rayleigh_ritz(200).entries
+    a50 = assemble_rayleigh_ritz(50)
+    a200 = assemble_rayleigh_ritz(200)
     assert np.abs(a50 - a200[:50, :50]).max() <= 1e-13 * np.linalg.norm(a200, 2)
 
 
@@ -272,7 +272,7 @@ def test_lower_bounds_merge_with_trivial_modes():
     from cauchyspec import generalized_sym_eig
     N = 13
     _, _, d, S = assemble_intermediate(N)
-    pencil = generalized_sym_eig(S.entries, d)
+    pencil = generalized_sym_eig(S, d)
     assert pencil.max() > N + 2      # the claim "all < N+2" fails here
     merged = lower_bounds(N, N + 1)
     trivial = [float(k) for k in range(N + 2, N + 2 + 2 * N)]
@@ -289,12 +289,19 @@ def test_gram_entries_vs_quadrature():
         assert gram_entry(m, n) == pytest.approx(ref, abs=1e-12)
     assert gram_entry(1, 2) == 0.0
     assert gram_entry(1, 1) == pytest.approx(4.0 + 32.0 / (3.0 * PI), rel=1e-15)
+    # on index grids the one formula gives the scalar values bit for bit,
+    # odd-parity zeros included
+    k = np.arange(1, 41)
+    grid = gram_entry(k[:, None], k[None, :])
+    scalar = [[gram_entry(m, n) for n in range(1, 41)] for m in range(1, 41)]
+    assert np.array_equal(grid, scalar)
+    assert np.all(grid[(k[:, None] + k[None, :]) % 2 == 1] == 0.0)
 
 
 def test_gram_positive_definite_up_to_300():
     from cauchyspec import solve_spd
     _, B, _, _ = assemble_intermediate(300)
-    solve_spd(B.entries, np.eye(300))        # factorization must succeed
+    solve_spd(B, np.eye(300))        # factorization must succeed
 
 
 def test_approx_eigenfunction_record():
@@ -308,17 +315,17 @@ def test_approx_eigenfunction_record():
 
 def test_intermediate_matrix_shapes():
     C, B, d, S = assemble_intermediate(3)
-    assert C.entries.shape == (3, 4)
-    assert B.entries.shape == (3, 3)
+    assert C.shape == (3, 4)
+    assert B.shape == (3, 3)
     assert np.array_equal(d, [1.0, 2.0, 3.0, 4.0])
-    assert S.entries.shape == (4, 4)
+    assert S.shape == (4, 4)
     # two-band coupling rows: |C| row sums are 2 except the first (g_0 = 0)
-    counts = np.abs(C.entries).sum(axis=1)
+    counts = np.abs(C).sum(axis=1)
     assert counts[0] == 1.0
     assert np.all(counts[1:] == 2.0)
     # Gram positive definite (factorization succeeds)
     from cauchyspec import solve_spd
-    solve_spd(B.entries, np.eye(3))
+    solve_spd(B, np.eye(3))
 
 
 def test_bracket_validation():

@@ -45,8 +45,8 @@ def test_solve_spd_identity_and_diag():
 def test_solve_spd_gram_residual():
     # Gram matrix at N=4 against the two-band coupling matrix
     C, B, _, _ = assemble_intermediate(4)
-    x = solve_spd(B.entries, C.entries)
-    resid = np.abs(B.entries @ x - C.entries).max()
+    x = solve_spd(B, C)
+    resid = np.abs(B @ x - C).max()
     assert resid <= 1e-12
 
 

@@ -1,53 +1,13 @@
-"""Plancherel identity and inversion for the eigenfunction transform.
+"""The eigenfunction transform on degenerate inputs.
 
-Grids (documented, per the grid-dependent tolerance policy):
-  input bump on [1, 2]: 201 uniform nodes (spacing 5e-3)
-  transform side: uniform spacing pi/24 up to X = 320
-Expected accuracy at these grids is ~0.6% for the Plancherel ratio and
-~0.6% of the peak for double-transform inversion; the asserted tolerance
-is 1%.
+Plancherel and double-transform inversion for the bump on [1, 2] are the
+registry check ``plancherel`` and acceptance criterion 7
+(``tests/test_acceptance.py``).
 """
-import math
-
 import numpy as np
 import pytest
 
 from cauchyspec import GridFunction, GridTooCoarse, pi_transform
-
-PI = math.pi
-
-
-def bump(lam):
-    lam = np.asarray(lam, dtype=float)
-    u = (lam - 1.0) * 2.0 - 1.0
-    out = np.zeros_like(lam)
-    m = (u > -1.0) & (u < 1.0)
-    out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-    return out
-
-
-@pytest.fixture(scope="module")
-def transformed():
-    lam = np.linspace(1.0, 2.0, 201)
-    f = GridFunction.from_samples(lam, bump(lam))
-    dx = PI / 24.0
-    xg = np.arange(dx, 320.0, dx)
-    return f, pi_transform(f, xg)
-
-
-def test_plancherel(transformed):
-    f, pif = transformed
-    ratio = pif.norm2() ** 2 / (PI / 2.0 * f.norm2() ** 2)
-    assert abs(ratio - 1.0) < 0.01
-
-
-def test_inversion(transformed):
-    f, pif = transformed
-    mu = np.linspace(1.0, 2.0, 41)
-    pi2 = pi_transform(pif, mu)
-    ref = PI / 2.0 * bump(mu)
-    scale = PI / 2.0 * bump(np.array([1.5]))[0]   # peak of (pi/2) f
-    assert np.abs(pi2.values - ref).max() < 0.01 * scale
 
 
 def test_zero_maps_to_zero():
