@@ -20,9 +20,9 @@ t^{-3/2} tail (built lazily once).  The remainder r, which sits under psi,
 Pi, the spectral heat kernel and the interval eigenfunctions, is read on
 1e-12 < x < 1e4 from a piecewise-Chebyshev table of (1+x)^2 r(x) in log x
 (2 panels per decade, degree 16), sampled from that rule on first use and
-within a few ulps of it; points outside that range, and the derivatives of
-r, go through the rule itself.  Everything else runs through the adaptive
-engine in :mod:`.quadrature`.
+within a few ulps of it; points outside that range go through the rule
+itself.  Everything else runs through the adaptive engine in
+:mod:`.quadrature`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .specialfun import _finite, b_complex, eta
 
 __all__ = [
     "EigenfunctionEval", "KernelTable", "ExitLaw",
-    "remainder", "remainder_deriv", "psi", "psi_point", "laplace_psi",
-    "f_exit", "exit_density", "survival", "heat_kernel",
+    "remainder", "psi", "psi_point", "laplace_psi",
+    "f_exit", "exit_density", "survival", "exit_mass", "heat_kernel",
     "heat_kernel_spectral", "pi_transform", "heat_kernel_table", "exit_law",
 ]
 
@@ -116,22 +116,16 @@ def _laplace_rule(t_lo: float = 1e-13, t_hi: float = 1e10, order: int = 24):
     return ts, ws * remainder_weight(ts), t_end, amp
 
 
-def _tail_moment(x: np.ndarray, T: float, moment: int) -> np.ndarray:
-    """int_T^inf t^{moment - 3/2} e^{-t x} dt, closed forms via erfc."""
+def _tail(x: np.ndarray, T: float) -> np.ndarray:
+    """int_T^inf t^{-3/2} e^{-t x} dt, in closed form via erfc."""
     from scipy.special import erfc
     rT = math.sqrt(T)
-    u = np.sqrt(x) * rT
-    damp = np.exp(-x * T)
-    if moment == 0:
-        return 2.0 * damp / rT - 2.0 * np.sqrt(_PI * x) * erfc(u)
-    if moment == 1:
-        return np.sqrt(_PI / x) * erfc(u)
-    # moment == 2
-    return (0.5 * math.sqrt(_PI) * erfc(u) + u * damp) / x**1.5
+    return (2.0 * np.exp(-x * T) / rT
+            - 2.0 * np.sqrt(_PI * x) * erfc(np.sqrt(x) * rT))
 
 
-def _laplace_of_weight(x: np.ndarray, moment: int = 0) -> np.ndarray:
-    """int_0^inf t^moment w(t) e^{-t x} dt for a batch of x > 0.
+def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
+    """int_0^inf w(t) e^{-t x} dt for a batch of x > 0.
 
     The panel rule covers (1e-13, 1e10); the remaining tail is added in
     closed form with the calibrated t^{-3/2} asymptotics of the weight
@@ -139,13 +133,11 @@ def _laplace_of_weight(x: np.ndarray, moment: int = 0) -> np.ndarray:
     x = 0+ instead of hitting a truncation floor.
     """
     t, wt, T, amp = _laplace_rule()
-    if moment:
-        wt = wt * t**moment
     out = np.empty_like(x)
     block = 2048
     for i in range(0, x.size, block):
         out[i:i + block] = np.exp(-np.outer(x[i:i + block], t)) @ wt
-    return out + amp * _tail_moment(x, T, moment)
+    return out + amp * _tail(x, T)
 
 
 #: range, panels per decade and degree of the remainder table
@@ -230,21 +222,6 @@ def remainder(x):
         rule = ~(table | zero)
         if rule.any():
             out[rule] = _laplace_of_weight(x[rule])
-    return float(out[0]) if scalar else out
-
-
-def remainder_deriv(x, order: int = 1):
-    """Derivative of the remainder of the given order (1 or 2), by
-    differentiating under the Laplace integral.  Diverges at x = 0."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    x = _finite("remainder_deriv", x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0):
-        raise DomainError("remainder_deriv requires x > 0 (moment integral "
-                          "diverges at 0)")
-    out = (-1.0) ** order * _laplace_of_weight(x, moment=order)
     return float(out[0]) if scalar else out
 
 
@@ -340,19 +317,18 @@ def survival(x: float, t: float, spec: QuadratureSpec | None = None) -> float:
     return 1.0 - mass
 
 
-def exit_mass(x: float, horizon: float | None = None,
-              tol: float = 1e-8) -> tuple[float, float]:
-    """Total exit-density mass up to a certified horizon.
+def exit_mass(x: float, tol: float = 1e-8) -> tuple[float, float]:
+    """Total exit-density mass up to a certified horizon T.
 
     Returns (mass up to T, analytic bound on the tail beyond T); the tail
     uses f(s)/s <= e^{C/pi}/(pi) (1+s^2)^{-3/4} <= e^{C/pi}/pi s^{-3/2},
-    so  tail(T) <= 2 e^{C/pi} / (pi sqrt(T)).
+    so  tail(T) <= 2 e^{C/pi} / (pi sqrt(T)), and T is the horizon at which
+    that bound is tol/10.
     """
     _check_positive("x", x)
     from .specialfun import CATALAN
     c_tail = 2.0 * math.exp(CATALAN / _PI) / _PI
-    if horizon is None:
-        horizon = (c_tail / (0.1 * tol)) ** 2
+    horizon = (c_tail / (0.1 * tol)) ** 2
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
                           max_subdivisions=20000)
     pts = [x * 10.0**k for k in range(0, int(math.log10(horizon / x)) + 1)]
@@ -421,8 +397,8 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     grid-dependent and must be measured, not assumed.
     """
     out = np.asarray(f.nodes if out_nodes is None else out_nodes, dtype=float)
-    if np.any(out <= 0):
-        raise DomainError("output nodes must be positive")
+    if not np.all((out > 0) & (out < math.inf)):      # False for NaN too
+        raise DomainError("output nodes must be positive and finite")
     lam_max = min(float(f.nodes.max()), float(out.max()))
     if f.spacing() > _PI / (8.0 * lam_max) + 1e-15:
         raise GridTooCoarse(

@@ -48,11 +48,10 @@ from .quadrature import GridFunction, QuadratureSpec, integrate
 from .specialfun import _finite
 
 __all__ = [
-    "ApproxEigenfunction", "EigBound", "REFERENCE_BRACKETS",
-    "mu_asymptotic", "q_cutoff", "tilde_phi", "approx_eigenfunction",
-    "generator_apply", "residual_norm", "tilde_phi_norm2", "green_moment",
-    "assemble_rayleigh_ritz", "upper_bounds", "assemble_intermediate",
-    "lower_bounds", "bracket", "rr_eigenfunction",
+    "EigBound", "REFERENCE_BRACKETS", "mu_asymptotic", "q_cutoff",
+    "tilde_phi", "generator_apply", "residual_norm", "tilde_phi_norm2",
+    "green_moment", "assemble_rayleigh_ritz", "upper_bounds",
+    "assemble_intermediate", "lower_bounds", "bracket", "rr_eigenfunction",
 ]
 
 _PI = math.pi
@@ -97,18 +96,6 @@ class EigBound:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class ApproxEigenfunction:
-    """Glued half-line approximation to the n-th interval eigenfunction."""
-    n: int
-    mu: float
-    parity: str                    # "symmetric" | "antisymmetric"
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-
 # ---------------------------------------------------------------------------
 # cutoff and approximate eigenfunctions
 
@@ -118,13 +105,16 @@ def q_cutoff(x):
     9/2 (x+1/3)^2 resp. 1 - 9/2 (x-1/3)^2 in between; q(x) + q(-x) = 1.
     NaN and +-inf raise DomainError."""
     x = _finite("q_cutoff", x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.where(
+    out = _q(np.atleast_1d(x))
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def _q(x: np.ndarray) -> np.ndarray:
+    """The ramp of :func:`q_cutoff` on a 1-D array already known finite."""
+    return np.where(
         x <= -1.0 / 3.0, 0.0,
         np.where(x < 0.0, 4.5 * (x + 1.0 / 3.0) ** 2,
                  np.where(x < 1.0 / 3.0, 1.0 - 4.5 * (x - 1.0 / 3.0) ** 2, 1.0)))
-    return float(out[0]) if scalar else out
 
 
 #: kinks of q plus the support endpoints; the glued eigenfunctions are
@@ -149,41 +139,36 @@ def tilde_phi(n: int, x):
     out = np.zeros_like(x)
     inside = (x > -1.0) & (x < 1.0)
     xi = x[inside]
-    out[inside] = (q_cutoff(-xi) * psi(mu, 1.0 + xi)
-                   + sgn * q_cutoff(xi) * psi(mu, 1.0 - xi))
+    out[inside] = (_q(-xi) * psi(mu, 1.0 + xi)
+                   + sgn * _q(xi) * psi(mu, 1.0 - xi))
     return float(out[0]) if scalar else out
-
-
-def approx_eigenfunction(n: int) -> ApproxEigenfunction:
-    return ApproxEigenfunction(
-        n=n, mu=mu_asymptotic(n),
-        parity="symmetric" if n % 2 == 1 else "antisymmetric",
-        evaluator=lambda x, _n=n: tilde_phi(_n, x))
 
 
 # ---------------------------------------------------------------------------
 # the generator as a principal-value integral
 
+#: largest half-width of the window folded around the pole
+_PV_WINDOW = 0.125
+
 
 def generator_apply(g: Callable[[np.ndarray], np.ndarray], z: float,
                     support: tuple[float, float] = (-1.0, 1.0),
                     kinks: tuple[float, ...] = PHI_KINKS,
-                    spec: QuadratureSpec | None = None,
-                    window: float = 0.125) -> float:
+                    spec: QuadratureSpec | None = None) -> float:
     """Apply the generator  (1/pi) pv int (g(y) - g(z))/(y - z)^2 dy  at z.
 
     ``g`` must vanish outside ``support`` and be piecewise C^2 with kinks
     only at ``kinks``.  The principal value is realized by folding the
     symmetric window around z (the odd part of the pole cancels exactly);
     outside the window the integral splits into int g(y)/(y-z)^2 over the
-    support and the analytic tail -g(z) * 2/window.
+    support and the analytic tail -g(z) * 2/d, d = min(1/8, z-a, b-z).
     """
     a, b = support
     if not a < z < b:
         raise DomainError("z must lie inside the support")
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     gz = float(np.atleast_1d(g(np.array([z])))[0])
-    d = min(window, z - a, b - z)
+    d = min(_PV_WINDOW, z - a, b - z)
 
     def folded(u):
         return (g(z + u) + g(z - u) - 2.0 * gz) / (u * u)

@@ -3,20 +3,20 @@
 Thin, certificate-bearing wrappers over LAPACK: every eigendecomposition is
 checked against an explicit residual bound before it is returned, because the
 eigenvalue-bound pipeline downstream treats these numbers as evidence, not as
-best-effort output.
+best-effort output.  Matrices are plain arrays; each routine works on a copy
+whose upper triangle mirrors the lower one, so symmetry holds bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegeneratePencil, NonConvergence, NotPositiveDefinite
 
-__all__ = ["SymMatrix", "sym_eig", "solve_spd", "generalized_sym_eig"]
+__all__ = ["sym_eig", "solve_spd", "generalized_sym_eig"]
 
 #: residual certificate threshold, relative to ||M||_2
 CERT_TOL = 1e-12
@@ -25,29 +25,20 @@ CERT_TOL = 1e-12
 DEGENERACY_THRESHOLD = 1e-12
 
 
-@dataclass
-class SymMatrix:
-    """A dense symmetric matrix; symmetry is enforced exactly on construction
-    by mirroring the lower triangle."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square 2-D array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
-        i, j = np.triu_indices(a.shape[0], 1)
-        a[i, j] = a[j, i]
-        self.entries = a
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
+def _symmetric(M) -> np.ndarray:
+    """A float copy of M with the lower triangle mirrored into the upper;
+    ValueError unless M is square, 2-D and finite."""
+    a = np.array(M, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square 2-D array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    i, j = np.triu_indices(a.shape[0], 1)
+    a[i, j] = a[j, i]
+    return a
 
 
-def sym_eig(M: SymMatrix | np.ndarray):
+def sym_eig(M: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric M.
 
     Backed by LAPACK's orthogonal-similarity iteration (`numpy.linalg.eigh`);
@@ -55,7 +46,7 @@ def sym_eig(M: SymMatrix | np.ndarray):
     orthonormality are verified explicitly, and a failed certificate raises
     :class:`NonConvergence` rather than returning unverified numbers.
     """
-    a = M.entries if isinstance(M, SymMatrix) else SymMatrix(np.asarray(M)).entries
+    a = _symmetric(M)
     theta, vec = np.linalg.eigh(a)
     norm = float(np.linalg.norm(a, 2)) or 1.0
     resid = np.linalg.norm(a @ vec - vec * theta, axis=0).max()
@@ -68,12 +59,12 @@ def sym_eig(M: SymMatrix | np.ndarray):
     return theta, vec
 
 
-def solve_spd(M: SymMatrix | np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M X = rhs for symmetric positive definite M (Cholesky).
 
     Raises :class:`NotPositiveDefinite` when a factorization pivot fails.
     """
-    a = M.entries if isinstance(M, SymMatrix) else SymMatrix(np.asarray(M)).entries
+    a = _symmetric(M)
     try:
         cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -82,8 +73,7 @@ def solve_spd(M: SymMatrix | np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                   check_finite=False)
 
 
-def generalized_sym_eig(S: SymMatrix | np.ndarray,
-                        d: np.ndarray) -> np.ndarray:
+def generalized_sym_eig(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Eigenvalues of the pencil  D a = lambda S a  with D = diag(d) > 0.
 
     Solved as the symmetric problem D^{-1/2} S D^{-1/2} w = theta w and
@@ -92,7 +82,7 @@ def generalized_sym_eig(S: SymMatrix | np.ndarray,
     finite eigenvalue; they are dropped from the result and reported through
     a :class:`DegeneratePencil` warning.
     """
-    s = S.entries if isinstance(S, SymMatrix) else SymMatrix(np.asarray(S)).entries
+    s = _symmetric(S)
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.shape[0] != s.shape[0]:
         raise ValueError("diagonal length must match the matrix order")
@@ -100,7 +90,7 @@ def generalized_sym_eig(S: SymMatrix | np.ndarray,
         raise ValueError("diagonal entries must be positive")
     dh = 1.0 / np.sqrt(d)
     m = dh[:, None] * s * dh[None, :]
-    theta, _ = sym_eig(SymMatrix(m))
+    theta, _ = sym_eig(m)
     cutoff = DEGENERACY_THRESHOLD * max(1.0, float(np.abs(theta).max()))
     good = theta > cutoff
     if not np.all(good):

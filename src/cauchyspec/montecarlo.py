@@ -96,11 +96,10 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
 
 def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:
     """Estimate P(exit time > t) for the process started at x > 0 by
-    discrete monitoring at multiples of cfg.dt.  Biased upward; the standard
-    error is the binomial sqrt(p(1-p)/paths)."""
-    counts, used = _survive_batches(x, t, cfg)
-    p = counts[0] / used
-    return McEstimate(float(p), math.sqrt(max(p * (1 - p), 1e-12) / used), used)
+    discrete monitoring at multiples of cfg.dt: :func:`refinement_study`
+    at the single step cfg.dt.  Biased upward; the standard error is the
+    binomial sqrt(p(1-p)/paths)."""
+    return refinement_study(x, t, cfg, factors=(1,))[0][1]
 
 
 def refinement_study(x: float, t: float, cfg: McConfig,

@@ -1,11 +1,12 @@
 """Adaptive quadrature and grid-function utilities.
 
 One adaptive Gauss-Kronrod 7/15 engine drives every integral in the package:
-finite intervals directly, half-lines through the substitution t = u/(1-u),
-and Cauchy principal values through symmetric-panel folding around the
-singularity.  Integrands are evaluated in vectorized batches (they receive a
-numpy array of abscissae and must return an array of the same shape), which
-is what keeps the transform/kernel grids in the rest of the package cheap.
+finite intervals directly, half-lines through the substitution t = u/(1-u).
+The package's one principal value, the interval generator, folds the pole
+away itself (:func:`.interval.generator_apply`).  Integrands are evaluated
+in vectorized batches (they receive a numpy array of abscissae and must
+return an array of the same shape), which is what keeps the transform/kernel
+grids in the rest of the package cheap.
 
 All routines are pure: results depend only on the integrand, the domain and
 the :class:`QuadratureSpec`, never on evaluation order or thread count.
@@ -26,7 +27,6 @@ __all__ = [
     "QuadratureSpec",
     "GridFunction",
     "integrate",
-    "integrate_pv",
 ]
 
 _INF = math.inf
@@ -211,34 +211,3 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     val, _ = _adaptive(f, brk, spec)
     return val
 
-
-def integrate_pv(f: Callable[[np.ndarray], np.ndarray],
-                 singularity: float,
-                 domain: tuple[float, float],
-                 spec: QuadratureSpec | None = None,
-                 points: Sequence[float] = ()) -> float:
-    """Cauchy principal value of ``f`` over a finite interval.
-
-    The symmetric window around the singularity c is folded:
-    pv int_{c-d}^{c+d} f = int_0^d [f(c+u) + f(c-u)] du, which cancels the
-    odd part of the pole analytically; the remainder of the interval is
-    regular and handled by the plain adaptive engine.
-    """
-    spec = spec or QuadratureSpec()
-    a, b = float(domain[0]), float(domain[1])
-    c = float(singularity)
-    if not a < c < b:
-        return integrate(f, (a, b), spec, points)
-    d = min(c - a, b - c)
-
-    def folded(u):
-        return f(c + u) + f(c - u)
-
-    pts = sorted({abs(p - c) for p in points if 0.0 < abs(p - c) < d})
-    core, _ = _adaptive(folded, [0.0, *pts, d] if pts else [0.0, d], spec)
-    rest = 0.0
-    if c - d > a:
-        rest += integrate(f, (a, c - d), spec, points)
-    if c + d < b:
-        rest += integrate(f, (c + d, b), spec, points)
-    return core + rest

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 
-__all__ = ["CATALAN", "ti2", "eta", "exp_eta", "b_complex", "b_real"]
+__all__ = ["CATALAN", "ti2", "eta", "b_complex"]
 
 #: Catalan's constant, 30 digits (frozen from the alternating series
 #: sum (-1)^k/(2k+1)^2 accelerated to convergence; used in bounds only).
@@ -110,12 +110,6 @@ def eta(t):
     return float(res[0]) if scalar else res
 
 
-def exp_eta(t):
-    """e^{eta(t)}; satisfies (1+t^2)^{1/4} e^{-C/pi} <= exp_eta <= (1+t^2)^{1/4} e^{C/pi}
-    with C Catalan's constant, and exp_eta(t)*exp_eta(-t) = sqrt(1+t^2)."""
-    return np.exp(eta(t))
-
-
 def b_complex(z: complex, spec: QuadratureSpec | None = None) -> complex:
     """The log-potential b(z) = (1/pi) int_{-inf}^0 log(z-s)/(1+s^2) ds.
 
@@ -125,9 +119,12 @@ def b_complex(z: complex, spec: QuadratureSpec | None = None) -> complex:
     branch whenever Re z >= 0 or Im z >= 0.  Real negative arguments get the
     boundary-from-above value eta(z) + i arctan(-z).  In the remaining
     quadrant (Re z < 0, Im z < 0) the path crosses the cut and the branch is
-    ambiguous, so that region raises :class:`DomainError`.
+    ambiguous, so that region raises :class:`DomainError`, as do NaN and
+    infinite z.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError("b_complex requires a finite argument")
     if z.real < 0.0 and z.imag < 0.0:
         raise DomainError("b_complex is restricted to Re z >= 0 or Im z >= 0")
     if z == 0:
@@ -151,9 +148,3 @@ def b_complex(z: complex, spec: QuadratureSpec | None = None) -> complex:
     im = integrate(f_im, (0.0, math.inf), spec, points=pts) / _PI
     return complex(re, im)
 
-
-def b_real(t: float) -> complex:
-    """Boundary values of the log-potential on the real axis, in closed form:
-    eta(t) + i arctan(max(-t, 0))."""
-    t = float(t)
-    return complex(eta(t), math.atan(max(-t, 0.0)))

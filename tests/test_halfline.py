@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (DomainError, McConfig, PoleError, QuadratureSpec, eta,
-                        estimate_survival, exit_density, exit_law, exit_mass,
-                        exp_eta, f_exit, heat_kernel, heat_kernel_spectral,
-                        integrate, laplace_psi, psi, psi_point, q_cutoff,
-                        refinement_study, remainder, remainder_deriv,
-                        survival, tilde_phi, ti2)
+from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
+                        QuadratureSpec, b_complex, eta, estimate_survival,
+                        exit_density, exit_law, exit_mass, f_exit, heat_kernel,
+                        heat_kernel_spectral, integrate, laplace_psi,
+                        pi_transform, psi, psi_point, q_cutoff,
+                        refinement_study, remainder, survival, tilde_phi, ti2)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -106,14 +106,6 @@ def test_remainder_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_remainder_deriv_rejects_non_finite(bad):
-    with pytest.raises(DomainError):
-        remainder_deriv(bad)
-    with pytest.raises(DomainError):
-        remainder_deriv(np.array([1.0, bad]), 2)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_psi_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         psi(1.0, bad)
@@ -132,12 +124,15 @@ def test_psi_point_rejects_non_finite(bad):
 
 
 NAN, INF = math.nan, math.inf
+ONES = GridFunction.from_samples(np.linspace(0.1, 1.0, 10), np.ones(10))
 
 #: calls that used to return 0, 1, NaN or an untyped error
 INVALID_CALLS = {
     "f_exit(nan)": (f_exit, NAN),
     "f_exit(inf)": (f_exit, INF),
     "eta(nan)": (eta, NAN),
+    "b_complex(nan)": (b_complex, NAN),
+    "b_complex(inf)": (b_complex, INF),
     "ti2(nan)": (ti2, NAN),
     "exit_density(nan,1)": (exit_density, NAN, 1.0),
     "exit_density(1,[1,nan])": (exit_density, 1.0, [1.0, NAN]),
@@ -150,6 +145,8 @@ INVALID_CALLS = {
     "heat_kernel_spectral(1,nan,1)": (heat_kernel_spectral, 1.0, NAN, 1.0),
     "laplace_psi(nan,1)": (laplace_psi, NAN, 1.0),
     "laplace_psi(1,nan)": (laplace_psi, 1.0, complex(NAN, NAN)),
+    "pi_transform(f,[1,inf])": (pi_transform, ONES, [1.0, INF]),
+    "pi_transform(f,[nan])": (pi_transform, ONES, [NAN]),
     "q_cutoff(nan)": (q_cutoff, NAN),
     "q_cutoff(inf)": (q_cutoff, INF),
     "tilde_phi(1,nan)": (tilde_phi, 1, NAN),
@@ -169,25 +166,6 @@ def test_invalid_input_raises_domain_error(call):
 def test_total_monotonicity_spot_checks():
     xs = np.logspace(-3, 3, 25)
     assert np.all(remainder(xs) >= 0)
-    assert np.all(-remainder_deriv(xs, 1) >= 0)
-    assert np.all(remainder_deriv(xs, 2) >= 0)
-
-
-def test_remainder_deriv_bounds():
-    x = 0.5
-    assert -remainder_deriv(x, 1) <= 1.0 / math.sqrt(2 * math.pi * x)
-    for x in (0.7, 3.0):
-        for order in (1, 2):
-            bound = SQ2 / (2 * math.pi) * math.factorial(order + 1) / x ** (order + 2)
-            assert abs(remainder_deriv(x, order)) <= bound
-
-
-def test_remainder_deriv_vs_finite_difference():
-    h = 1e-5
-    fd = (remainder(1.0 + h) - remainder(1.0 - h)) / (2 * h)
-    assert remainder_deriv(1.0, 1) == pytest.approx(fd, abs=1e-6)
-    with pytest.raises(DomainError):
-        remainder_deriv(0.0, 1)
 
 
 def test_psi_vanishes_off_halfline():
@@ -247,15 +225,14 @@ def test_laplace_identity_against_quadrature():
 
 def test_laplace_closed_form_on_reals():
     for t in (0.5, 2.0):
-        expect = SQ2 / 2.0 * exp_eta(t) / (1 + t * t)
+        expect = SQ2 / 2.0 * np.exp(eta(t)) / (1 + t * t)
         assert laplace_psi(1.0, complex(t)).real == pytest.approx(expect, rel=1e-13)
 
 
 def test_laplace_scaling_consistency():
     lam, z = 2.5, complex(1.0, 0.7)
     a = laplace_psi(lam, z)
-    b = lam * laplace_psi(1.0, z / lam) / lam  # scale rule: L psi_lam(z) = L psi_1(z/lam)/lam
-    b = laplace_psi(1.0, z / lam) / lam
+    b = laplace_psi(1.0, z / lam) / lam  # L psi_lam(z) = L psi_1(z/lam)/lam
     assert a == pytest.approx(b, rel=1e-10)
 
 

@@ -304,15 +304,6 @@ def test_gram_positive_definite_up_to_300():
     solve_spd(B, np.eye(300))        # factorization must succeed
 
 
-def test_approx_eigenfunction_record():
-    from cauchyspec import approx_eigenfunction
-    af = approx_eigenfunction(3)
-    assert af.parity == "symmetric"
-    assert af.mu == pytest.approx(mu_asymptotic(3))
-    assert af(np.array([0.4]))[0] == pytest.approx(tilde_phi(3, 0.4))
-    assert approx_eigenfunction(4).parity == "antisymmetric"
-
-
 def test_intermediate_matrix_shapes():
     C, B, d, S = assemble_intermediate(3)
     assert C.shape == (3, 4)

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 
-from cauchyspec import (DegeneratePencil, NotPositiveDefinite, SymMatrix,
+from cauchyspec import (DegeneratePencil, NotPositiveDefinite,
                         generalized_sym_eig, solve_spd, sym_eig)
 from cauchyspec.interval import assemble_intermediate
 
 
 def test_sym_matrix_enforces_symmetry():
-    m = SymMatrix(np.array([[1.0, 2.0], [2.0 + 1e-18, 3.0]]))
-    assert m.entries[0, 1] == m.entries[1, 0]
+    # every routine reads the lower triangle, mirrored, from a copy
+    lower = np.array([[2.0, 1.0], [1.0, 3.0]])
+    skew = np.array([[2.0, 9.0], [1.0, 3.0]])
+    assert np.array_equal(sym_eig(skew)[0], sym_eig(lower)[0])
+    assert np.array_equal(generalized_sym_eig(skew, [1.0, 2.0]),
+                          generalized_sym_eig(lower, [1.0, 2.0]))
+    assert np.array_equal(solve_spd(skew, [1.0, 1.0]),
+                          solve_spd(lower, [1.0, 1.0]))
+    assert skew[0, 1] == 9.0
+    for bad in (np.nan, np.inf):
+        m = np.array([[1.0, 0.0], [bad, 1.0]])
+        for call in (lambda: sym_eig(m), lambda: solve_spd(m, [1.0, 1.0]),
+                     lambda: generalized_sym_eig(m, [1.0, 1.0])):
+            with pytest.raises(ValueError):
+                call()
     with pytest.raises(ValueError):
-        SymMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        sym_eig(np.ones((2, 3)))
 
 
 def test_sym_eig_diagonal():

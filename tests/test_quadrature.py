@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (GridFunction, NonConvergence, QuadratureSpec,
-                        integrate, integrate_pv)
+from cauchyspec import GridFunction, NonConvergence, QuadratureSpec, integrate
 from cauchyspec.specialfun import CATALAN
 
 
@@ -34,20 +33,6 @@ def test_nonconvergence_reports_estimate():
         integrate(lambda s: np.log(s) / (1 + s * s), (0.0, 1.0), spec)
     assert exc.value.estimate == pytest.approx(-CATALAN, abs=1e-2)
     assert exc.value.error_bound > 0
-
-
-def test_pv_odd_pole():
-    assert integrate_pv(lambda x: 1.0 / x, 0.0, (-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("y", [-0.6, 0.0, 0.3, 0.85])
-def test_pv_chebyshev_weight_vanishes(y):
-    # pv int_{-1}^{1} dx / (sqrt(1-x^2) (x-y)) = 0 on (-1, 1);
-    # x = sin(theta) removes the endpoint singularities first
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-    val = integrate_pv(lambda th: 1.0 / (np.sin(th) - y), math.asin(y),
-                       (-math.pi / 2, math.pi / 2), spec)
-    assert val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_halfline_pv_example():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyspec import (CATALAN, DomainError, QuadratureSpec, b_complex,
-                        eta, exp_eta, integrate, ti2)
-from cauchyspec.specialfun import b_real
+                        eta, integrate, ti2)
 
 SERIES_CATALAN = sum((-1) ** k / (2 * k + 1) ** 2 for k in range(200000))
 
@@ -69,18 +68,6 @@ def test_eta_envelope(t):
     assert abs(eta(t) - 0.25 * math.log1p(t * t)) <= CATALAN / math.pi + 1e-10
 
 
-def test_exp_eta_values():
-    assert exp_eta(0.0) == 1.0
-    assert exp_eta(1.0) == pytest.approx(2 ** 0.25 * math.exp(CATALAN / math.pi),
-                                         rel=1e-12)
-
-
-@pytest.mark.parametrize("t", [0.25, 2.0, 7.5])
-def test_exp_eta_product_rule(t):
-    assert exp_eta(t) * exp_eta(-t) == pytest.approx(math.sqrt(1 + t * t),
-                                                     rel=1e-12)
-
-
 def test_b_at_i():
     val = b_complex(1j)
     assert abs(val - complex(math.log(2.0) / 2.0, math.pi / 8.0)) < 1e-12
@@ -97,7 +84,6 @@ def test_b_negative_axis_boundary_values():
     val = b_complex(-3.0)
     assert val.real == pytest.approx(eta(-3.0), abs=1e-10)
     assert val.imag == pytest.approx(math.atan(3.0), abs=1e-10)
-    assert b_real(-3.0) == pytest.approx(complex(eta(-3.0), math.atan(3.0)))
 
 
 def test_b_rejects_lower_left_quadrant():
