@@ -20,8 +20,8 @@ import numpy as np
 from .halfline import (exit_mass, heat_kernel, heat_kernel_spectral,
                        laplace_psi, pi_transform, psi, remainder,
                        remainder_weight, survival)
-from .interval import (REFERENCE_BRACKETS, bracket, gram_entry, green_moment,
-                       q_cutoff)
+from .interval import (bracket, gram_entry, green_moment, q_cutoff,
+                       reference_excess)
 from .montecarlo import McConfig, refinement_study
 from .quadrature import GridFunction, QuadratureSpec, integrate
 from .specialfun import b_complex, eta
@@ -98,12 +98,8 @@ def bump_transform() -> tuple[GridFunction, GridFunction]:
 
 
 def _reference_excess(brackets) -> float:
-    """How far the brackets miss containing the reference brackets."""
-    worst = 0.0
-    for b in brackets:
-        rl, ru = REFERENCE_BRACKETS[b.n]
-        worst = max(worst, b.lower - rl, ru - b.upper, 0.0)
-    return worst
+    """How far the worst of the brackets misses containing its reference."""
+    return max(reference_excess(b.n, b.lower, b.upper) for b in brackets)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 
 def cmd_eigs(cfg: RunConfig) -> int:
-    from .interval import REFERENCE_BRACKETS, bracket, lower_bounds, upper_bounds
+    from .interval import bracket, lower_bounds, reference_excess, upper_bounds
     p = cfg.params
     n_max, N, method = p["n_max"], p["basis"], p["method"]
     # one sequence per side, None where the method does not compute that side
@@ -116,9 +116,8 @@ def cmd_eigs(cfg: RunConfig) -> int:
     cols = ["n", "lower", "upper", "midpoint", "reference_contained"]
     rows = []
     for n, lo, up in zip(range(1, n_max + 1), los, ups):
-        ref = REFERENCE_BRACKETS.get(n)
-        contained = ((lo is None or lo <= ref[0]) and (up is None or ref[1] <= up)
-                     if ref else None)
+        excess = reference_excess(n, lo, up)
+        contained = None if excess is None else excess == 0.0
         mid = 0.5 * (lo + up) if lo is not None and up is not None else None
         rows.append([n, lo, up, mid, contained])
     _emit(cfg, {"meta": _meta(cfg), "columns": cols, "rows": rows})

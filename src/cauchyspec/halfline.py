@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, PoleError
 from .quadrature import GridFunction, QuadratureSpec, integrate
-from .specialfun import _finite, b_complex, eta
+from .specialfun import CATALAN, _finite, b_complex, eta, ti2
 
 __all__ = [
     "EigenfunctionEval", "KernelTable", "ExitLaw",
@@ -91,7 +91,6 @@ def remainder_weight(t, form: str = "eta"):
     if form == "eta":
         out[p] = _SQ2_2PI * tp / (1.0 + tp * tp) * np.exp(-eta(tp))
     elif form == "ti2":
-        from .specialfun import ti2
         out[p] = (_SQ2_2PI * tp ** (1.0 + np.arctan(tp) / _PI)
                   * (1.0 + tp * tp) ** -1.25 * np.exp(-ti2(tp) / _PI))
     else:
@@ -307,12 +306,12 @@ def exit_density(x: float, t):
     return float(out[0]) if scalar else out
 
 
-def survival(x: float, t: float, spec: QuadratureSpec | None = None) -> float:
+def survival(x: float, t: float) -> float:
     """P(exit time > t) for the process started at x > 0:
     1 - int_0^t f(s/x)/s ds.  Decreasing in t, between 0 and 1, and at least
     (2/pi) arctan(x/t)."""
     _check_positive("x, t", x, t)
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     mass = integrate(lambda s: _f_over_s(s, x), (0.0, t), spec, points=(x,))
     return 1.0 - mass
 
@@ -326,7 +325,6 @@ def exit_mass(x: float, tol: float = 1e-8) -> tuple[float, float]:
     that bound is tol/10.
     """
     _check_positive("x", x)
-    from .specialfun import CATALAN
     c_tail = 2.0 * math.exp(CATALAN / _PI) / _PI
     horizon = (c_tail / (0.1 * tol)) ** 2
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
@@ -394,9 +392,14 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     must not exceed pi / (8 * min(max input node, max output node)), else
     :class:`GridTooCoarse` is raised.  Applying the transform twice returns
     (pi/2) times the original function.  Beyond the hard floor, accuracy is
-    grid-dependent and must be measured, not assumed.
+    grid-dependent and must be measured, not assumed.  Output nodes other
+    than a strictly increasing 1-D array of at least two finite, positive
+    points raise :class:`DomainError`.
     """
     out = np.asarray(f.nodes if out_nodes is None else out_nodes, dtype=float)
+    if out.ndim != 1 or out.size < 2 or not np.all(np.diff(out) > 0):
+        raise DomainError("output nodes must be a strictly increasing 1-D "
+                          "array of at least two points")
     if not np.all((out > 0) & (out < math.inf)):      # False for NaN too
         raise DomainError("output nodes must be positive and finite")
     lam_max = min(float(f.nodes.max()), float(out.max()))
@@ -413,25 +416,23 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     return GridFunction.from_samples(out, vals)
 
 
-def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray,
-                      spec: QuadratureSpec | None = None) -> KernelTable:
+def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> KernelTable:
     """Tabulate p^D_t on xs x ys."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    vals = np.array([[heat_kernel(t, float(x), float(y), spec) for y in ys]
+    vals = np.array([[heat_kernel(t, float(x), float(y)) for y in ys]
                      for x in xs])
     return KernelTable(t, xs, ys, vals)
 
 
-def exit_law(x: float, ts: np.ndarray,
-             spec: QuadratureSpec | None = None) -> ExitLaw:
+def exit_law(x: float, ts: np.ndarray) -> ExitLaw:
     """Exit density and survival on a time grid; the survival column is the
     complement of the incrementally accumulated density mass, so the two
     columns are consistent by construction."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0) or not np.all(np.diff(ts) > 0):
         raise DomainError("ts must be positive and increasing")
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     dens = exit_density(x, ts)
     surv = np.empty_like(ts)
     acc = integrate(lambda s: _f_over_s(s, x), (0.0, float(ts[0])), spec,

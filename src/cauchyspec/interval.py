@@ -72,6 +72,18 @@ REFERENCE_BRACKETS = {
 }
 
 
+def reference_excess(n: int, lower: float | None,
+                     upper: float | None) -> float | None:
+    """How far the bracket (lower, upper) of lambda_n misses containing its
+    reference bracket: 0.0 when it contains it, None when n has no
+    reference.  A side passed as None (not computed) is not checked."""
+    ref = REFERENCE_BRACKETS.get(n)
+    if ref is None:
+        return None
+    return max(0.0 if lower is None else lower - ref[0],
+               0.0 if upper is None else ref[1] - upper, 0.0)
+
+
 def mu_asymptotic(n: int) -> float:
     """The asymptotic proxy mu_n = n pi/2 - pi/8 around which lambda_n
     localizes."""
@@ -185,13 +197,12 @@ def generator_apply(g: Callable[[np.ndarray], np.ndarray], z: float,
     return out / _PI
 
 
-def residual_norm(n: int, nodes_per_piece: int = 32,
-                  spec: QuadratureSpec | None = None) -> float:
+def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     """L2 norm over (-1,1) of (generator + mu_n) applied to tilde_phi_n,
     by Gauss quadrature on each smooth piece."""
     mu = mu_asymptotic(n)
     g = lambda x: tilde_phi(n, x)
-    spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
+    spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     gx, gw = np.polynomial.legendre.leggauss(nodes_per_piece)
     total = 0.0
     for lo, hi in zip(PHI_KINKS[:-1], PHI_KINKS[1:]):
@@ -203,9 +214,9 @@ def residual_norm(n: int, nodes_per_piece: int = 32,
     return math.sqrt(total)
 
 
-def tilde_phi_norm2(n: int, spec: QuadratureSpec | None = None) -> float:
+def tilde_phi_norm2(n: int) -> float:
     """Squared L2 norm of tilde_phi_n."""
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     g = lambda x: tilde_phi(n, x) ** 2
     return integrate(g, (-1.0, 1.0), spec, points=PHI_KINKS[1:-1])
 

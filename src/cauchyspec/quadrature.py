@@ -183,7 +183,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     adaptive engine serves both cases.  ``points`` are interior breakpoints
     (known kinks, decay scales) seeding the initial panels; supplying the
     decay scale of a sharply-cut integrand is the caller's job, the engine
-    cannot see features far below its first panel's nodes.
+    cannot see features far below its first panel's nodes.  A complex
+    ``f`` gets a complex result, with the error measured in modulus.
 
     Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``
     attached) if the budget of subdivisions is exhausted first.

@@ -4,7 +4,7 @@ friends.
 Everything downstream (eigenfunctions, kernels, exit laws) reduces to the
 pair
 
-    ti2(t)  = int_0^t arctan(u)/u du            (inverse tangent integral)
+    ti2(t)  = int_0^t arctan(u)/u du = Im Li2(i t)   (inverse tangent integral)
     eta(t)  = log(1+t^2)/4 - (1/pi) int_0^t log|s|/(1+s^2) ds
 
 together with the holomorphic function
@@ -12,7 +12,9 @@ together with the holomorphic function
     b_complex(z) = (1/pi) int_{-inf}^0 log(z - s)/(1+s^2) ds,
 
 whose boundary values on the real axis are eta(t) + i*arctan(max(-t,0)).
-All real-argument functions accept scalars or numpy arrays.
+Ti2 is read off scipy's complex dilogarithm, Li2(w) = spence(1 - w)
+(Lewin, Polylogarithms and Associated Functions, 1981), and eta is closed
+form in it.  All real-argument functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import spence
 
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
@@ -31,9 +34,6 @@ __all__ = ["CATALAN", "ti2", "eta", "b_complex"]
 CATALAN = 0.915965594177219015054603514932
 
 _PI = math.pi
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-_GL_V = 0.5 * (_GL_X + 1.0)          # nodes on (0, 1)
-_GL_WV = 0.5 * _GL_W
 
 
 def _finite(name: str, x, low: float | None = None) -> np.ndarray:
@@ -49,46 +49,14 @@ def _finite(name: str, x, low: float | None = None) -> np.ndarray:
     return x
 
 
-def _series(t: np.ndarray) -> np.ndarray:
-    # sum (-1)^k t^{2k+1}/(2k+1)^2, |t| <= 1/2: 40 terms reach 1e-25
-    s = np.zeros_like(t)
-    tp = t.copy()
-    sign = 1.0
-    tt = t * t
-    for k in range(40):
-        s += sign * tp / (2 * k + 1) ** 2
-        sign = -sign
-        tp = tp * tt
-    return s
-
-
 def ti2(t):
-    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du for t >= 0.
-
-    Series below 1/2, the inversion Ti2(t) = Ti2(1/t) + (pi/2) log t above 2,
-    and a 24-point Gauss rule on the (analytic) integrand in between; the
-    three regimes agree to ~1e-15 at the seams.
-    """
+    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du for t >= 0,
+    evaluated as Im Li2(i t) with the dilogarithm Li2(w) = spence(1 - w)."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     if not np.all(t >= 0):                 # False for NaN too
         raise DomainError("ti2 requires t >= 0")
-    out = np.zeros_like(t)
-    small = t <= 0.5
-    big = t >= 2.0
-    mid = ~small & ~big
-    ts = t[small]
-    if ts.size:
-        out[small] = _series(ts)
-    tb = t[big]
-    if tb.size:
-        out[big] = _series(1.0 / tb) + 0.5 * _PI * np.log(tb)
-    tm = t[mid]
-    if tm.size:
-        tv = np.outer(tm, _GL_V)
-        out[mid] = tm * ((np.arctan(tv) / tv) * _GL_WV).sum(axis=1)
-    return float(out[0]) if scalar else out
+    out = spence(1.0 - 1j * t).imag
+    return float(out) if t.ndim == 0 else out
 
 
 def eta(t):
@@ -110,17 +78,17 @@ def eta(t):
     return float(res[0]) if scalar else res
 
 
-def b_complex(z: complex, spec: QuadratureSpec | None = None) -> complex:
+def b_complex(z: complex) -> complex:
     """The log-potential b(z) = (1/pi) int_{-inf}^0 log(z-s)/(1+s^2) ds.
 
     Holomorphic off (-inf, 0], continuous up to the cut from the upper
-    half-plane; evaluated by quadrature after s -> -v with the principal
-    log, which along the integration path coincides with that continued
-    branch whenever Re z >= 0 or Im z >= 0.  Real negative arguments get the
-    boundary-from-above value eta(z) + i arctan(-z).  In the remaining
-    quadrant (Re z < 0, Im z < 0) the path crosses the cut and the branch is
-    ambiguous, so that region raises :class:`DomainError`, as do NaN and
-    infinite z.
+    half-plane; evaluated as one complex quadrature after s -> -v with the
+    principal log, which along the integration path coincides with that
+    continued branch whenever Re z >= 0 or Im z >= 0.  Real negative
+    arguments get the boundary-from-above value eta(z) + i arctan(-z).  In
+    the remaining quadrant (Re z < 0, Im z < 0) the path crosses the cut and
+    the branch is ambiguous, so that region raises :class:`DomainError`, as
+    do NaN and infinite z.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -129,22 +97,11 @@ def b_complex(z: complex, spec: QuadratureSpec | None = None) -> complex:
         raise DomainError("b_complex is restricted to Re z >= 0 or Im z >= 0")
     if z == 0:
         return 0.0 + 0.0j
-    spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-
-    def f_re(v):
-        w = z + v
-        return np.log(np.abs(w)) / (1.0 + v * v)
-
-    def f_im(v):
-        w = z + v
-        return np.arctan2(w.imag, w.real) / (1.0 + v * v)
-
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
     # breakpoints: the modulus scale, plus the (integrable) log zero at
     # v = -z for real negative z
     pts = [abs(z)]
     if z.imag == 0.0 and z.real < 0.0:
         pts.append(-z.real)
-    re = integrate(f_re, (0.0, math.inf), spec, points=pts) / _PI
-    im = integrate(f_im, (0.0, math.inf), spec, points=pts) / _PI
-    return complex(re, im)
-
+    return integrate(lambda v: np.log(z + v) / (1.0 + v * v),
+                     (0.0, math.inf), spec, points=pts) / _PI

@@ -169,8 +169,7 @@ def test_criterion_10_generator_residual():
     details = []
     for n in (4, 6, 8):
         mu = mu_asymptotic(n)
-        res = residual_norm(n, nodes_per_piece=32,
-                            spec=QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
+        res = residual_norm(n, nodes_per_piece=32)
         bound = math.sqrt(1.21 + 8.00 / mu + 13.66 / mu**2) / mu
         n2 = tilde_phi_norm2(n)
         in_window = 1.0 - 0.52 / mu <= n2 <= 1.0 + 1.37 / mu

@@ -19,6 +19,18 @@ def run_cli(args, tmp_path, name="out"):
     return code, path.read_text() if path.exists() else ""
 
 
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # the subcommands import what they need; loading the CLI alone keeps
+    # every process's start-up cost down
+    lazy = ("scipy.integrate", "scipy.fft", "cauchyspec.checks")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cauchyspec.cli; "
+         f"print([m for m in {lazy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "cauchyspec.cli", "eigs", "--n-max", "5",

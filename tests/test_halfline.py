@@ -147,6 +147,11 @@ INVALID_CALLS = {
     "laplace_psi(1,nan)": (laplace_psi, 1.0, complex(NAN, NAN)),
     "pi_transform(f,[1,inf])": (pi_transform, ONES, [1.0, INF]),
     "pi_transform(f,[nan])": (pi_transform, ONES, [NAN]),
+    "pi_transform(f,2)": (pi_transform, ONES, 2.0),
+    "pi_transform(f,[])": (pi_transform, ONES, []),
+    "pi_transform(f,[2,1])": (pi_transform, ONES, [2.0, 1.0]),
+    "pi_transform(f,[1,1])": (pi_transform, ONES, [1.0, 1.0]),
+    "pi_transform(f,[[1,2]])": (pi_transform, ONES, [[1.0, 2.0]]),
     "q_cutoff(nan)": (q_cutoff, NAN),
     "q_cutoff(inf)": (q_cutoff, INF),
     "tilde_phi(1,nan)": (tilde_phi, 1, NAN),

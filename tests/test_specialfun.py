@@ -27,11 +27,33 @@ def test_ti2_inversion_formula():
         assert lhs == pytest.approx(0.5 * math.pi * math.log(t), abs=1e-12)
 
 
+def test_ti2_inversion_identity_on_geometric_grid():
+    t = np.geomspace(1.0, 1e12, 4001)
+    assert np.abs(ti2(t) - ti2(1.0 / t) - 0.5 * math.pi * np.log(t)).max() <= 1e-13
+
+
+def test_ti2_taylor_form_at_small_arguments():
+    # Ti2(t) = t - t^3/9 + t^5/25 - ..., the next term below 1e-28 relative
+    t = np.geomspace(1e-12, 1e-4, 2001)
+    taylor = t - t**3 / 9.0 + t**5 / 25.0
+    assert np.abs(ti2(t) / taylor - 1.0).max() <= 1e-14
+
+
 def test_ti2_seams_match_quadrature():
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
     for t in (0.4, 0.5, 0.7, 1.9, 2.0, 2.3):
         ref = integrate(lambda u: np.arctan(u) / u, (1e-300, t), spec)
         assert ti2(t) == pytest.approx(ref, abs=1e-12)
+    for t in (1e-6, 1e-3, 50.0, 1e4):
+        ref = integrate(lambda u: np.arctan(u) / u, (1e-300, t), spec,
+                        points=(1.0,) if t > 1.0 else ())
+        assert ti2(t) == pytest.approx(ref, rel=1e-14)
+
+
+def test_ti2_keeps_scalar_and_array_shapes():
+    assert type(ti2(1.0)) is float
+    assert ti2(np.array([0.5, 2.0])).shape == (2,)
+    assert ti2(np.ones((2, 3))).shape == (2, 3)
 
 
 def test_ti2_rejects_negative():
