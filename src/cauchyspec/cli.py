@@ -9,7 +9,8 @@ as the separator, lines end in a bare newline, and timestamps are only
 included when explicitly requested with --timestamp.
 
 Exit codes: 0 success, 1 check failure, 2 mathematical inconsistency
-(bracket inversion), 64 usage error.
+(bracket inversion), 64 usage error (including parameters the library
+rejects with DomainError).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import BracketInversion
+from .errors import BracketInversion, DomainError
 
 USAGE_EXIT = 64
 
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
     except BracketInversion as exc:
         sys.stderr.write(f"mathematical inconsistency: {exc}\n")
         return 2
+    except DomainError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

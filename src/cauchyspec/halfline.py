@@ -261,12 +261,7 @@ def laplace_psi(lam: float, z: complex) -> complex:
         raise DomainError("laplace_psi requires finite z with Re z > 0")
     if abs(z - 1j * lam) < 1e-14 * lam or abs(z + 1j * lam) < 1e-14 * lam:
         raise PoleError("z coincides with a pole at +-i lam")
-    w = z / lam
-    if w.imag == 0.0:
-        bw = complex(eta(w.real), 0.0)       # closed form on the real axis
-    else:
-        bw = b_complex(w)
-    return complex((math.sqrt(2.0) / 2.0) * lam * np.exp(bw)
+    return complex((math.sqrt(2.0) / 2.0) * lam * np.exp(b_complex(z / lam))
                    / (lam * lam + z * z))
 
 
@@ -417,9 +412,11 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
 
 
 def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> KernelTable:
-    """Tabulate p^D_t on xs x ys."""
+    """Tabulate p^D_t on xs x ys, two non-empty 1-D arrays."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
+        raise DomainError("xs and ys must be non-empty 1-D arrays")
     vals = np.array([[heat_kernel(t, float(x), float(y)) for y in ys]
                      for x in xs])
     return KernelTable(t, xs, ys, vals)
@@ -430,6 +427,8 @@ def exit_law(x: float, ts: np.ndarray) -> ExitLaw:
     complement of the incrementally accumulated density mass, so the two
     columns are consistent by construction."""
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DomainError("ts must be a non-empty 1-D array")
     if np.any(ts <= 0) or not np.all(np.diff(ts) > 0):
         raise DomainError("ts must be positive and increasing")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)

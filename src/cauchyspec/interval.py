@@ -8,8 +8,10 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   G_{m,n} = pi * beta_m beta_n / (2^{m+n} (m+n+2)), beta_k = C(k, floor(k/2)),
   through coefficients that grow like 4^deg with alternating signs.  These
   moments form a Gram matrix, so the matrix is instead assembled in float64
-  as a Gram product of Legendre averages, in which nothing cancels (see
-  :func:`assemble_rayleigh_ritz`).
+  as a Gram product of Legendre averages, in which nothing cancels.  Each
+  average is closed form by the Legendre addition theorem (DLMF 14.18), a
+  polynomial in s read off P_m and P_m' at sqrt(1 - s^2) and at 0, so an
+  (N+2)-point Gauss rule in s is exact (see :func:`assemble_rayleigh_ritz`).
 
 * lower bounds: the method of intermediate problems.  After mapping to a
   strip, the problem becomes  A f = lambda (1 - T^2) f  with A the
@@ -36,10 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import comb
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_legendre
+from scipy.special import legendre_p_all
 
 from .errors import BracketInversion, CauchySpecError, DomainError
 from .halfline import psi
@@ -233,8 +236,8 @@ def green_moment(m: int, n: int) -> float:
     """Moment of the interval Green operator against monomials:
     int int x^m G(x,y) y^n dx dy = pi beta_m beta_n / (2^{m+n} (m+n+2))
     for m + n even, 0 otherwise.  Symmetric and positive when nonzero."""
-    if m < 0 or n < 0:
-        raise DomainError("m, n must be nonnegative")
+    if not all(isinstance(k, Integral) and k >= 0 for k in (m, n)):
+        raise DomainError("m, n must be nonnegative integers")
     if (m + n) % 2 == 1:
         return 0.0
     # int / int true division rounds correctly
@@ -248,24 +251,26 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
         A_mn = pi nu_m nu_n int_0^1 s u_m(s) u_n(s) ds,   nu_m = sqrt((2m+1)/2),
         u_m(s) = (1/pi) int_0^pi cos^{m mod 2}(t) P_m(s cos t) dt,
 
-    for m + n even (zero otherwise), in which no term cancels.  P_m comes from
-    the three-term recurrence on a grid of z = s cos t: N+2 Gauss-Legendre
-    points in s and N//2+2 midpoints in t integrate every entry exactly, so
-    the only error is rounding, about 1e-14 ||A||_2.  The rule grows with N,
-    so entries shared by two basis sizes agree to that level, not bitwise."""
+    for m + n even (zero otherwise), in which no term cancels.  By the
+    Legendre addition theorem (DLMF 14.18), with c = sqrt(1 - s^2),
+
+        u_m(s) = P_m(0) P_m(c)                       (m even),
+        u_m(s) = s P_m'(0) P_m'(c) / (m (m+1))       (m odd),
+
+    a polynomial of degree m in s, so N+2 Gauss-Legendre points in s
+    integrate every entry exactly and the only error is rounding, about
+    1e-14 ||A||_2.  The rule grows with N, so entries shared by two basis
+    sizes agree to that level, not bitwise."""
     if N < 1:
         raise DomainError("N must be >= 1")
     x, w = np.polynomial.legendre.leggauss(N + 2)
     s = 0.5 * (x + 1.0)
-    n_t = N // 2 + 2
-    cos_t = np.cos((np.arange(n_t) + 0.5) * (_PI / n_t))
-    z = s[:, None] * cos_t[None, :]
-    theta_avg = (np.full(n_t, 1.0 / n_t), cos_t / n_t)   # by parity of m
-    U = np.empty((N, s.size))
-    p_prev, p = np.zeros_like(z), np.ones_like(z)
-    for m in range(N):
-        U[m] = p @ theta_avg[m % 2]
-        p_prev, p = p, ((2 * m + 1) * z * p - m * p_prev) / (m + 1)
+    c = np.sqrt((1.0 - s) * (1.0 + s))
+    # P_m and P_m' for m < N at every c and, in the last column, at 0
+    p, dp = legendre_p_all(N - 1, np.append(c, 0.0), diff_n=1)
+    U = p[:, -1:] * p[:, :-1]                          # even rows; odd are 0
+    m = np.arange(1, N, 2)[:, None]
+    U[1::2] = s * dp[1::2, -1:] * dp[1::2, :-1] / (m * (m + 1))
     A = (U * (0.5 * w * s)) @ U.T                      # weight s ds on [0, 1]
     nu = np.sqrt(np.arange(N) + 0.5)
     A = _PI * 0.5 * (A + A.T) * np.outer(nu, nu)
@@ -286,8 +291,8 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     theta of A_N.  Non-increasing in N by min-max over nested subspaces,
     up to the rounding of assembly and eigensolve (about 1e-14 relative)."""
     count = N if count is None else count
-    if count > N:
-        raise DomainError("count must not exceed the basis size")
+    if not 0 <= count <= N:
+        raise DomainError("count must lie between 0 and the basis size")
     theta = _ritz(N)[0][:count]
     if np.any(theta <= 0):
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
@@ -340,8 +345,8 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
     Non-decreasing in N."""
     count = N + 1 if count is None else count
-    if count > N + 1:
-        raise DomainError("count must not exceed N + 1")
+    if not 0 <= count <= N + 1:
+        raise DomainError("count must lie between 0 and N + 1")
     _, _, d, S = assemble_intermediate(N)
     lam = generalized_sym_eig(S, d)
     trivial = np.arange(N + 2.0, N + 2.0 + count)
@@ -352,8 +357,8 @@ def bracket(n_max: int, N: int) -> list[EigBound]:
     """Certified brackets (lower, upper) for lambda_1 .. lambda_{n_max} at
     basis size N.  Raises :class:`BracketInversion` if any lower bound
     exceeds its upper bound (which would signal an assembly bug)."""
-    if n_max > N:
-        raise DomainError("n_max must not exceed N")
+    if not 1 <= n_max <= N:
+        raise DomainError("n_max must lie between 1 and N")
     ups = upper_bounds(N, n_max)
     los = lower_bounds(N, n_max)
     out = []
@@ -382,9 +387,7 @@ def rr_eigenfunction(n: int, N: int, n_grid: int = 2001) -> GridFunction:
     _, vec = _ritz(N)
     coeff = vec[:, n - 1]
     xs = np.linspace(-1.0, 1.0, n_grid)
-    degs = np.arange(N)
-    basis = np.stack([eval_legendre(m, xs) * math.sqrt((2 * m + 1) / 2.0)
-                      for m in degs])
+    basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
     vals = coeff @ basis
     gf = GridFunction.from_samples(xs, vals)
     if gf.inner(GridFunction.from_samples(xs, tilde_phi(n, xs))) < 0:

@@ -48,7 +48,7 @@ def sym_eig(M: np.ndarray):
     """
     a = _symmetric(M)
     theta, vec = np.linalg.eigh(a)
-    norm = float(np.linalg.norm(a, 2)) or 1.0
+    norm = float(np.abs(theta).max()) or 1.0       # ||a||_2, a symmetric
     resid = np.linalg.norm(a @ vec - vec * theta, axis=0).max()
     ortho = np.abs(vec.T @ vec - np.eye(a.shape[0])).max()
     if resid > CERT_TOL * norm * a.shape[0] or ortho > CERT_TOL * a.shape[0]:

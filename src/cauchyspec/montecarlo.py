@@ -39,8 +39,8 @@ class McConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
-        if not 0 < self.dt <= self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
+        if not 0 < self.dt <= self.horizon < math.inf:
+            raise ValueError("need 0 < dt <= horizon < inf")
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def sample_cauchy_increments(scale: float, rng: np.random.Generator,
                              size=None) -> np.ndarray:
     """Cauchy increments with the density scale/(pi (scale^2 + x^2)),
     via inverse CDF."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:              # False for NaN too
+        raise ValueError("scale must be positive and finite")
     u = rng.random(size)
     return scale * np.tan(math.pi * (u - 0.5))
 

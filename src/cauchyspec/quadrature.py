@@ -14,6 +14,7 @@ the :class:`QuadratureSpec`, never on evaluation order or thread count.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "QuadratureSpec",
@@ -77,7 +78,7 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):   # False for NaN
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
@@ -154,7 +155,13 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec):
         toterr += err
         heapq.heappush(heap, (-err, a, b, val))
     splits = 0
-    while toterr > max(spec.abs_tol, spec.rel_tol * abs(total)):
+    while True:
+        if math.isnan(toterr) or cmath.isnan(total):
+            raise NonConvergence(
+                f"NaN estimate after {splits} subdivisions",
+                estimate=total, error_bound=toterr)
+        if toterr <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            return total, toterr
         if splits >= spec.max_subdivisions:
             raise NonConvergence(
                 f"tolerance not met after {splits} subdivisions "
@@ -169,7 +176,6 @@ def _adaptive(f, breakpoints, spec: QuadratureSpec):
         heapq.heappush(heap, (-e1, a, m, v1))
         heapq.heappush(heap, (-e2, m, b, v2))
         splits += 1
-    return total, toterr
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -187,10 +193,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     ``f`` gets a complex result, with the error measured in modulus.
 
     Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``
-    attached) if the budget of subdivisions is exhausted first.
+    attached) if the budget of subdivisions is exhausted first or the
+    estimate turns NaN, and :class:`DomainError` for a NaN endpoint.
     """
     spec = spec or QuadratureSpec()
     a, b = domain
+    if math.isnan(a) or math.isnan(b):
+        raise DomainError("integration limits must not be NaN")
     if math.isinf(b):
         if math.isinf(a):
             raise ValueError("doubly infinite domains are not supported")

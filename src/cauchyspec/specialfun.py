@@ -82,26 +82,23 @@ def b_complex(z: complex) -> complex:
     """The log-potential b(z) = (1/pi) int_{-inf}^0 log(z-s)/(1+s^2) ds.
 
     Holomorphic off (-inf, 0], continuous up to the cut from the upper
-    half-plane; evaluated as one complex quadrature after s -> -v with the
+    half-plane.  A real argument t gets the closed form
+    eta(t) + i arctan(max(-t, 0)), the boundary value from above on the
+    cut.  Elsewhere b is one complex quadrature after s -> -v with the
     principal log, which along the integration path coincides with that
-    continued branch whenever Re z >= 0 or Im z >= 0.  Real negative
-    arguments get the boundary-from-above value eta(z) + i arctan(-z).  In
-    the remaining quadrant (Re z < 0, Im z < 0) the path crosses the cut and
-    the branch is ambiguous, so that region raises :class:`DomainError`, as
-    do NaN and infinite z.
+    continued branch whenever Re z >= 0 or Im z >= 0.  In the remaining
+    quadrant (Re z < 0, Im z < 0) the path crosses the cut and the branch
+    is ambiguous, so that region raises :class:`DomainError`, as do NaN
+    and infinite z.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("b_complex requires a finite argument")
     if z.real < 0.0 and z.imag < 0.0:
         raise DomainError("b_complex is restricted to Re z >= 0 or Im z >= 0")
-    if z == 0:
-        return 0.0 + 0.0j
+    if z.imag == 0.0:
+        t = z.real
+        return complex(eta(t), math.atan(-t) if t < 0.0 else 0.0)
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-    # breakpoints: the modulus scale, plus the (integrable) log zero at
-    # v = -z for real negative z
-    pts = [abs(z)]
-    if z.imag == 0.0 and z.real < 0.0:
-        pts.append(-z.real)
     return integrate(lambda v: np.log(z + v) / (1.0 + v * v),
-                     (0.0, math.inf), spec, points=pts) / _PI
+                     (0.0, math.inf), spec, points=[abs(z)]) / _PI

@@ -39,6 +39,22 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("args", [
+    ["psi", "--lam", "inf", "--xmax", "5"],
+    ["psi", "--lam", "1", "--xmax", "inf"],
+    ["heat", "--t", "inf", "--xmin", ".3", "--xmax", "2", "--points", "2"],
+    ["exit", "--x", "inf", "--tmin", ".1", "--tmax", "1"],
+    ["exit", "--x", "1", "--tmin", ".1", "--tmax", "inf"],
+], ids=["psi-lam", "psi-xmax", "heat-t", "exit-x", "exit-tmax"])
+def test_domain_error_is_usage_error(args):
+    # parameters that pass the CLI's own checks but that the library
+    # rejects are usage errors too, reported without a traceback
+    proc = subprocess.run([sys.executable, "-m", "cauchyspec.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
     ["psi", "--lam", "1", "--xmax", "5", "--frobnicate"],
     ["eigs", "--n-max", "2", "--basis", "10", "--digits", "50"],
     ["eigs", "--n-max", "2", "--basis", "10", "--precision-mode", "machine"],

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
-                        QuadratureSpec, b_complex, eta, estimate_survival,
-                        exit_density, exit_law, exit_mass, f_exit, heat_kernel,
-                        heat_kernel_spectral, integrate, laplace_psi,
-                        pi_transform, psi, psi_point, q_cutoff,
-                        refinement_study, remainder, survival, tilde_phi, ti2)
+from cauchyspec import (DomainError, GridFunction, McConfig, NonConvergence,
+                        PoleError, QuadratureSpec, b_complex, bracket, eta,
+                        estimate_survival, exit_density, exit_law, exit_mass,
+                        f_exit, green_moment, heat_kernel,
+                        heat_kernel_spectral, heat_kernel_table, integrate,
+                        laplace_psi, lower_bounds, pi_transform, psi,
+                        psi_point, q_cutoff, refinement_study, remainder,
+                        survival, tilde_phi, ti2, upper_bounds)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -158,6 +160,17 @@ INVALID_CALLS = {
     "estimate_survival(nan,1)": (estimate_survival, NAN, 1.0, McConfig()),
     "refinement_study(nan,1)": (refinement_study, NAN, 1.0, McConfig()),
     "refinement_study(-1,1)": (refinement_study, -1.0, 1.0, McConfig()),
+    "upper_bounds(5,-1)": (upper_bounds, 5, -1),
+    "lower_bounds(5,-1)": (lower_bounds, 5, -1),
+    "lower_bounds(5,-3)": (lower_bounds, 5, -3),
+    "bracket(0,5)": (bracket, 0, 5),
+    "bracket(-1,5)": (bracket, -1, 5),
+    "green_moment(1.5,0.5)": (green_moment, 1.5, 0.5),
+    "exit_law(1,5)": (exit_law, 1.0, 5.0),
+    "exit_law(1,[])": (exit_law, 1.0, []),
+    "exit_law(1,[[1,2]])": (exit_law, 1.0, [[1.0, 2.0]]),
+    "heat_kernel_table(1,0.5,[1])": (heat_kernel_table, 1.0, 0.5, [1.0]),
+    "heat_kernel_table(1,[],[1])": (heat_kernel_table, 1.0, [], [1.0]),
 }
 
 
@@ -166,6 +179,15 @@ def test_invalid_input_raises_domain_error(call):
     fn, *args = call
     with pytest.raises(DomainError):
         fn(*args)
+
+
+def test_survival_far_horizon_raises_nonconvergence():
+    # f(s/x)/s overflows to NaN far out; before, the NaN estimate ended the
+    # quadrature as converged and survival returned nan.  numpy's overflow
+    # warnings are silenced here so that the NaN reaches the engine
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence):
+            survival(1.0, 1e300)
 
 
 def test_total_monotonicity_spot_checks():

@@ -207,6 +207,37 @@ def test_float_assembly_matches_exact_oracle(N):
     assert np.abs(A - exact).max() <= 1e-14 * np.linalg.norm(exact, 2)
 
 
+def assemble_theta_grid(N):
+    """The same matrix from a direct average over theta: P_m by its
+    three-term recurrence on the grid z = s cos(theta) of N+2 Gauss points
+    in s and N//2+2 midpoints in theta, which integrate every entry exactly.
+    An independent float reference at sizes the exact oracle cannot reach."""
+    x, w = np.polynomial.legendre.leggauss(N + 2)
+    s = 0.5 * (x + 1.0)
+    n_t = N // 2 + 2
+    cos_t = np.cos((np.arange(n_t) + 0.5) * (PI / n_t))
+    z = s[:, None] * cos_t[None, :]
+    theta_avg = (np.full(n_t, 1.0 / n_t), cos_t / n_t)   # by parity of m
+    U = np.empty((N, s.size))
+    p_prev, p = np.zeros_like(z), np.ones_like(z)
+    for m in range(N):
+        U[m] = p @ theta_avg[m % 2]
+        p_prev, p = p, ((2 * m + 1) * z * p - m * p_prev) / (m + 1)
+    A = (U * (0.5 * w * s)) @ U.T
+    nu = np.sqrt(np.arange(N) + 0.5)
+    A = PI * 0.5 * (A + A.T) * np.outer(nu, nu)
+    k = np.arange(N)
+    A[(k[:, None] + k[None, :]) % 2 == 1] = 0.0
+    return A
+
+
+def test_closed_form_assembly_matches_theta_average():
+    # high degrees, beyond the reach of the exact oracle
+    ref = assemble_theta_grid(400)
+    A = assemble_rayleigh_ritz(400)
+    assert np.abs(A - ref).max() <= 1e-14 * np.linalg.norm(ref, 2)
+
+
 def test_assembly_leading_block_stable_in_basis():
     # the quadrature rule grows with N, so shared entries agree to rounding
     a50 = assemble_rayleigh_ritz(50)

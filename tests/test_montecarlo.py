@@ -14,6 +14,16 @@ def test_config_validation():
         McConfig(dt=2.0, horizon=1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sample_cauchy_increments(math.nan, np.random.default_rng(1), 4),
+    lambda: sample_cauchy_increments(math.inf, np.random.default_rng(1), 4),
+    lambda: McConfig(dt=math.inf, horizon=math.inf),
+], ids=["increments(nan)", "increments(inf)", "McConfig(dt=inf,horizon=inf)"])
+def test_non_finite_parameters_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_increment_median_and_quartiles():
     rng = np.random.default_rng(42)
     draws = sample_cauchy_increments(1.0, rng, 10**5)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import GridFunction, NonConvergence, QuadratureSpec, integrate
+from cauchyspec import (DomainError, GridFunction, NonConvergence,
+                        QuadratureSpec, integrate)
 from cauchyspec.specialfun import CATALAN
 
 
@@ -57,6 +58,24 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
+
+
+def test_spec_rejects_nan_tolerances():
+    # a NaN tolerance would accept any estimate, e.g. 1.18 for
+    # int_0^10 sin(50 x) dx = 0.0377
+    with pytest.raises(ValueError):
+        QuadratureSpec(abs_tol=math.nan, rel_tol=math.nan)
+
+
+def test_nan_integrand_raises_nonconvergence():
+    # a NaN error estimate must not end the loop as if converged
+    with pytest.raises(NonConvergence):
+        integrate(lambda x: np.full_like(x, math.nan), (0.0, 1.0))
+
+
+def test_nan_endpoint_raises_domain_error():
+    with pytest.raises(DomainError):
+        integrate(lambda x: x, (0.0, math.nan))
 
 
 def test_grid_function_invariants():

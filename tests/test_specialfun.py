@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,24 @@ def test_b_negative_axis_boundary_values():
     val = b_complex(-3.0)
     assert val.real == pytest.approx(eta(-3.0), abs=1e-10)
     assert val.imag == pytest.approx(math.atan(3.0), abs=1e-10)
+
+
+def test_b_negative_axis_small_arguments():
+    # these two returned nan+nanj when the real axis went through the
+    # quadrature; reference: the real and imaginary parts as real integrals
+    for t in (-0.1, -0.3):
+        g = lambda v: math.log(abs(t + v)) / (1.0 + v * v)
+        re = (scipy.integrate.quad(g, 0.0, -2.0 * t, points=[-t])[0]
+              + scipy.integrate.quad(g, -2.0 * t, math.inf)[0]) / math.pi
+        val = b_complex(t)
+        assert val.real == pytest.approx(re, abs=1e-10)
+        assert val.imag == pytest.approx(math.atan(-t), abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [-3.0, -0.5, -0.3, -0.1, 0.5, 2.0])
+def test_b_real_axis_matches_quadrature_just_above(t):
+    # the closed form on the axis against the quadrature at t + 1e-9 i
+    assert abs(b_complex(complex(t, 1e-9)) - b_complex(t)) <= 1e-8
 
 
 def test_b_rejects_lower_left_quadrant():
