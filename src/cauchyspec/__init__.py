@@ -21,7 +21,7 @@ from .interval import (REFERENCE_BRACKETS, EigBound, assemble_intermediate,
 from .linalg import generalized_sym_eig, solve_spd, sym_eig
 from .montecarlo import (McConfig, McEstimate, estimate_survival,
                          refinement_study, sample_cauchy_increments)
-from .quadrature import GridFunction, QuadratureSpec, integrate
+from .quadrature import GridFunction, QuadratureSpec, integrate, integrate_many
 from .specialfun import CATALAN, b_complex, eta, ti2
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "NotPositiveDefinite", "GridTooCoarse", "BracketInversion",
     "DegeneratePencil",
     # numerics
-    "QuadratureSpec", "GridFunction", "integrate",
+    "QuadratureSpec", "GridFunction", "integrate", "integrate_many",
     "sym_eig", "solve_spd", "generalized_sym_eig",
     # special functions
     "CATALAN", "ti2", "eta", "b_complex",

@@ -9,13 +9,15 @@ class NonConvergence(CauchySpecError):
     """Quadrature (or an iterative solve) failed to meet its tolerance.
 
     Carries the best available estimate and a bound on its error so callers
-    can decide whether the partial result is still usable.
+    can decide whether the partial result is still usable; a batched
+    quadrature also names the ``index`` of the integral that failed.
     """
 
-    def __init__(self, message, estimate=None, error_bound=None):
+    def __init__(self, message, estimate=None, error_bound=None, index=None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.index = index
 
 
 class DomainError(CauchySpecError):

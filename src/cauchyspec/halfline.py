@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, PoleError
-from .quadrature import GridFunction, QuadratureSpec, integrate
+from .quadrature import (GridFunction, QuadratureSpec, integrate,
+                         integrate_many)
 from .specialfun import CATALAN, _finite, b_complex, eta, ti2
 
 __all__ = [
@@ -307,8 +308,17 @@ def survival(x: float, t: float) -> float:
     (2/pi) arctan(x/t)."""
     _check_positive("x, t", x, t)
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    mass = integrate(lambda s: _f_over_s(s, x), (0.0, t), spec, points=(x,))
+    mass = integrate(lambda s: _f_over_s(s, x), (0.0, t), spec,
+                     points=_decades(x, t))
     return 1.0 - mass
+
+
+def _decades(x: float, t: float) -> list[float]:
+    """Breakpoints x, 10x, 100x, ... up to t for integrating f(s/x)/s over
+    (0, t): its s^(-3/2) tail sits within a few multiples of x, where the
+    nodes of one wide panel [x, t] would never look.  No decade beyond x
+    for t < 10x."""
+    return [x * 10.0**k for k in range(0, int(math.log10(t / x)) + 1)]
 
 
 def exit_mass(x: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -324,8 +334,8 @@ def exit_mass(x: float, tol: float = 1e-8) -> tuple[float, float]:
     horizon = (c_tail / (0.1 * tol)) ** 2
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
                           max_subdivisions=20000)
-    pts = [x * 10.0**k for k in range(0, int(math.log10(horizon / x)) + 1)]
-    mass = integrate(lambda s: _f_over_s(s, x), (0.0, horizon), spec, points=pts)
+    mass = integrate(lambda s: _f_over_s(s, x), (0.0, horizon), spec,
+                     points=_decades(x, horizon))
     return mass, c_tail / math.sqrt(horizon)
 
 
@@ -433,12 +443,13 @@ def exit_law(x: float, ts: np.ndarray) -> ExitLaw:
         raise DomainError("ts must be positive and increasing")
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     dens = exit_density(x, ts)
+    edges = [0.0, *ts.tolist()]
+    pieces = integrate_many(
+        lambda s, rows: _f_over_s(s, x), list(zip(edges[:-1], edges[1:])), spec,
+        [_decades(x, edges[1])] + [()] * (ts.size - 1))
     surv = np.empty_like(ts)
-    acc = integrate(lambda s: _f_over_s(s, x), (0.0, float(ts[0])), spec,
-                    points=(x,))
-    surv[0] = 1.0 - acc
-    for k in range(1, ts.size):
-        acc += integrate(lambda s: _f_over_s(s, x),
-                         (float(ts[k - 1]), float(ts[k])), spec)
+    acc = 0.0
+    for k, piece in enumerate(pieces.tolist()):
+        acc += piece
         surv[k] = 1.0 - acc
     return ExitLaw(x, ts, dens, surv)

@@ -47,7 +47,8 @@ from scipy.special import legendre_p_all
 from .errors import BracketInversion, CauchySpecError, DomainError
 from .halfline import psi
 from .linalg import generalized_sym_eig, solve_spd, sym_eig
-from .quadrature import GridFunction, QuadratureSpec, integrate
+from .quadrature import (GridFunction, QuadratureSpec, integrate,
+                         integrate_many)
 from .specialfun import _finite
 
 __all__ = [
@@ -166,54 +167,74 @@ def tilde_phi(n: int, x):
 _PV_WINDOW = 0.125
 
 
-def generator_apply(g: Callable[[np.ndarray], np.ndarray], z: float,
+def generator_apply(g: Callable[[np.ndarray], np.ndarray], z,
                     support: tuple[float, float] = (-1.0, 1.0),
                     kinks: tuple[float, ...] = PHI_KINKS,
-                    spec: QuadratureSpec | None = None) -> float:
-    """Apply the generator  (1/pi) pv int (g(y) - g(z))/(y - z)^2 dy  at z.
+                    spec: QuadratureSpec | None = None):
+    """Apply the generator  (1/pi) pv int (g(y) - g(z))/(y - z)^2 dy  at z,
+    a scalar (returns a float) or an array of points (returns an array of
+    z's shape).
 
-    ``g`` must vanish outside ``support`` and be piecewise C^2 with kinks
-    only at ``kinks``.  The principal value is realized by folding the
-    symmetric window around z (the odd part of the pole cancels exactly);
-    outside the window the integral splits into int g(y)/(y-z)^2 over the
-    support and the analytic tail -g(z) * 2/d, d = min(1/8, z-a, b-z).
+    ``g`` maps a 1-D array to an array of the same shape; it must vanish
+    outside ``support`` and be piecewise C^2 with kinks only at ``kinks``.
+    The principal value is realized by folding the symmetric window around
+    z (the odd part of the pole cancels exactly); outside the window the
+    integral splits into int g(y)/(y-z)^2 over the support and the analytic
+    tail -g(z) * 2/d, d = min(1/8, z-a, b-z).  The folded cores of all
+    points form one batched quadrature (:func:`.quadrature.integrate_many`),
+    and so do the left and the right outer integrals; each point's value is
+    the one it gets on its own.  A point outside the open support (or NaN)
+    raises DomainError.
     """
     a, b = support
-    if not a < z < b:
+    zarr = np.asarray(z, dtype=float)
+    zs = zarr.ravel()
+    if not np.all((zs > a) & (zs < b)):         # False for NaN too
         raise DomainError("z must lie inside the support")
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    gz = float(np.atleast_1d(g(np.array([z])))[0])
-    d = min(_PV_WINDOW, z - a, b - z)
+    gz = np.asarray(g(zs), dtype=float)
+    d = np.minimum(np.minimum(_PV_WINDOW, zs - a), b - zs)
 
-    def folded(u):
-        return (g(z + u) + g(z - u) - 2.0 * gz) / (u * u)
+    def g2(y):
+        return g(y.ravel()).reshape(y.shape)
 
-    pts = sorted({abs(k - z) for k in kinks if 0.0 < abs(k - z) < d})
-    core = integrate(folded, (0.0, d), spec, points=pts)
-    out = core - gz * 2.0 / d
-    if z - d > a:
-        out += integrate(lambda y: g(y) / (y - z) ** 2, (a, z - d), spec,
-                         points=kinks)
-    if z + d < b:
-        out += integrate(lambda y: g(y) / (y - z) ** 2, (z + d, b), spec,
-                         points=kinks)
-    return out / _PI
+    def folded(u, rows):
+        zr = zs[rows, None]
+        return (g2(zr + u) + g2(zr - u) - 2.0 * gz[rows, None]) / (u * u)
+
+    def outer(zsel):
+        return lambda y, rows: g2(y) / (y - zsel[rows, None]) ** 2
+
+    pts = [sorted({abs(k - z) for k in kinks if 0.0 < abs(k - z) < dz})
+           for z, dz in zip(zs.tolist(), d.tolist())]
+    out = integrate_many(folded, [(0.0, dz) for dz in d.tolist()], spec, pts)
+    out = out - gz * 2.0 / d
+    left, right = zs - d > a, zs + d < b
+    doms = [(a, y) for y in (zs - d)[left].tolist()]
+    out[left] += integrate_many(outer(zs[left]), doms, spec,
+                                [kinks] * len(doms))
+    doms = [(y, b) for y in (zs + d)[right].tolist()]
+    out[right] += integrate_many(outer(zs[right]), doms, spec,
+                                 [kinks] * len(doms))
+    out = out / _PI
+    return float(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
 
 
 def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     """L2 norm over (-1,1) of (generator + mu_n) applied to tilde_phi_n,
-    by Gauss quadrature on each smooth piece."""
+    by Gauss quadrature on each smooth piece; the generator runs once, on
+    the nodes of all pieces together."""
     mu = mu_asymptotic(n)
     g = lambda x: tilde_phi(n, x)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     gx, gw = np.polynomial.legendre.leggauss(nodes_per_piece)
+    lo, hi = np.array(PHI_KINKS[:-1]), np.array(PHI_KINKS[1:])
+    zs = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gx
+    ws = 0.5 * (hi - lo)[:, None] * gw
+    resid = generator_apply(g, zs, spec=spec) + mu * g(zs)
     total = 0.0
-    for lo, hi in zip(PHI_KINKS[:-1], PHI_KINKS[1:]):
-        zs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
-        ws = 0.5 * (hi - lo) * gw
-        vals = np.array([generator_apply(g, float(z), spec=spec) for z in zs])
-        resid = vals + mu * g(zs)
-        total += float((resid * resid * ws).sum())
+    for r, w in zip(resid, ws):
+        total += float((r * r * w).sum())
     return math.sqrt(total)
 
 

@@ -1,12 +1,23 @@
 """Adaptive quadrature and grid-function utilities.
 
 One adaptive Gauss-Kronrod 7/15 engine drives every integral in the package:
-finite intervals directly, half-lines through the substitution t = u/(1-u).
-The package's one principal value, the interval generator, folds the pole
-away itself (:func:`.interval.generator_apply`).  Integrands are evaluated
-in vectorized batches (they receive a numpy array of abscissae and must
-return an array of the same shape), which is what keeps the transform/kernel
-grids in the rest of the package cheap.
+finite intervals directly, half-lines through the substitution t = u/(1-u),
+applied per domain inside the engine.  The package's one principal value,
+the interval generator, folds the pole away itself
+(:func:`.interval.generator_apply`).
+
+The engine runs many integrals at once (:func:`integrate_many`).  Each
+integral keeps its own heap of panels, its own QUADPACK error estimate and
+stopping rule, and its own ``max_subdivisions`` budget.  Each pass pops, for
+every integral not yet converged, the panel its own heap would pop, and the
+two children of all those panels are evaluated in one integrand call
+``f(x, rows)``: ``x`` is a (k, 15) array of abscissae, one panel per row, and
+``rows`` the (k,) index of the integral each row belongs to; ``f`` returns
+the values in an array of x's shape.  So an integral's value does not depend
+on what it is batched with, and :func:`integrate` is the batch of one, its
+scalar integrand getting the nodes as a flat 1-D array.  The cost of a pass
+is one integrand call however many integrals it advances, which is what
+keeps the many small integrals of the kernel and generator code cheap.
 
 All routines are pure: results depend only on the integrand, the domain and
 the :class:`QuadratureSpec`, never on evaluation order or thread count.
@@ -28,6 +39,7 @@ __all__ = [
     "QuadratureSpec",
     "GridFunction",
     "integrate",
+    "integrate_many",
 ]
 
 _INF = math.inf
@@ -130,52 +142,146 @@ class GridFunction:
         return float(np.max(np.diff(self.nodes)))
 
 
-def _panel(f, a: float, b: float):
-    """Kronrod estimate and QUADPACK-style error for one panel."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    y = np.asarray(f(c + h * _NODES))
-    ik = h * (y * _WK).sum()
-    ig = h * (y * _WGFULL).sum()
-    diff = abs(ik - ig)
-    scale = h * (np.abs(y - ik / (b - a)) * _WK).sum()
-    if scale > 0.0:
-        err = float(scale) * min(1.0, (200.0 * diff / float(scale)) ** 1.5)
-    else:
-        err = diff
-    return complex(ik) if np.iscomplexobj(y) else float(ik), float(err)
+def _setup(domain: tuple[float, float], points: Sequence[float]):
+    """(flip, shift, breakpoints) of one domain.  ``flip`` says the limits
+    were swapped, so the value changes sign; ``shift`` is the lower limit of
+    a half-line, mapped to (0, 1] by t = u/(1-u), and NaN for a finite
+    interval; the breakpoints are in the engine's variable, and empty for an
+    empty interval."""
+    a, b = domain
+    if math.isnan(a) or math.isnan(b):
+        raise DomainError("integration limits must not be NaN")
+    if math.isinf(a) and math.isinf(b):
+        raise ValueError("doubly infinite domains are not supported")
+    if a == -_INF or b == -_INF:
+        raise DomainError("a limit of -inf is not supported")
+    flip = a > b
+    if flip:
+        a, b = b, a
+    if b == _INF:
+        return flip, a, sorted({0.0, 1.0, *((p - a) / (1.0 + (p - a))
+                                            for p in points if p > a)})
+    if a == b:
+        return flip, math.nan, []
+    return flip, math.nan, sorted({float(a), float(b),
+                                   *(float(p) for p in points if a < p < b)})
 
 
-def _adaptive(f, breakpoints, spec: QuadratureSpec):
-    heap = []
-    total = 0.0
-    toterr = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _panel(f, a, b)
-        total += val
-        toterr += err
-        heapq.heappush(heap, (-err, a, b, val))
-    splits = 0
+def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+            shift: np.ndarray):
+    """Kronrod estimates and QUADPACK-style errors of the panels
+    [lo_j, hi_j] of the integrals rows_j, all from one call of ``f``.
+
+    The error formula runs on Python scalars: numpy's vectorized ``**`` and
+    complex ``abs`` can round differently from the scalar ones in the last
+    bit, and on scalars the errors, and with them the heap order and the
+    stopping decisions, are those of a panel evaluated on its own."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = c[:, None] + h[:, None] * _NODES
+    sh = shift[rows]
+    half = ~np.isnan(sh)
+    x = u
+    if half.any():
+        uh = u[half]
+        x = u.copy()
+        x[half] = sh[half, None] + uh / (1.0 - uh)
+    y = np.asarray(f(x, rows))
+    if half.any():
+        y = y.astype(np.result_type(y, 1.0))
+        y[half] = y[half] / (1.0 - uh) ** 2
+    ik = h * (y * _WK).sum(axis=1)
+    ig = h * (y * _WGFULL).sum(axis=1)
+    scale = h * (np.abs(y - (ik / (hi - lo))[:, None]) * _WK).sum(axis=1)
+    vals = ik.tolist()
+    errs = []
+    for v, g, s in zip(vals, ig.tolist(), scale.tolist()):
+        diff = abs(v - g)
+        errs.append(s * min(1.0, (200.0 * diff / s) ** 1.5) if s > 0.0
+                    else diff)
+    return vals, errs
+
+
+def _adaptive(f, setups, spec: QuadratureSpec) -> list:
+    """Run every integral of ``setups`` to the spec's tolerance; returns the
+    estimates as Python floats (complex for a complex ``f``)."""
+    n = len(setups)
+    shift = np.array([sh for _, sh, _ in setups], dtype=float)
+    owner = [i for i, (_, _, brk) in enumerate(setups) for _ in brk[1:]]
+    lo = [a for _, _, brk in setups for a in brk[:-1]]
+    hi = [b for _, _, brk in setups for b in brk[1:]]
+    total, toterr = [0.0] * n, [0.0] * n
+    heaps = [[] for _ in range(n)]
+    if owner:
+        vals, errs = _panels(f, np.array(lo), np.array(hi),
+                             np.array(owner, dtype=np.intp), shift)
+        for i, a, b, val, err in zip(owner, lo, hi, vals, errs):
+            total[i] += val
+            toterr[i] += err
+            heapq.heappush(heaps[i], (-err, a, b, val))
+    splits = [0] * n
+    active = sorted(set(owner))
     while True:
-        if math.isnan(toterr) or cmath.isnan(total):
-            raise NonConvergence(
-                f"NaN estimate after {splits} subdivisions",
-                estimate=total, error_bound=toterr)
-        if toterr <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total, toterr
-        if splits >= spec.max_subdivisions:
-            raise NonConvergence(
-                f"tolerance not met after {splits} subdivisions "
-                f"(estimate {total!r}, error bound {toterr:.3e})",
-                estimate=total, error_bound=toterr)
-        negerr, a, b, val = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, m)
-        v2, e2 = _panel(f, m, b)
-        total += v1 + v2 - val
-        toterr += e1 + e2 + negerr          # negerr removes the parent error
-        heapq.heappush(heap, (-e1, a, m, v1))
-        heapq.heappush(heap, (-e2, m, b, v2))
-        splits += 1
+        todo = []
+        for i in active:
+            tot, err = total[i], toterr[i]
+            if math.isnan(err) or cmath.isnan(tot):
+                raise NonConvergence(
+                    f"integral {i}: NaN estimate after {splits[i]} "
+                    "subdivisions", estimate=tot, error_bound=err, index=i)
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(tot)):
+                continue
+            if splits[i] >= spec.max_subdivisions:
+                raise NonConvergence(
+                    f"integral {i}: tolerance not met after {splits[i]} "
+                    f"subdivisions (estimate {tot!r}, error bound {err:.3e})",
+                    estimate=tot, error_bound=err, index=i)
+            todo.append(i)
+        if not todo:
+            return total
+        popped = [heapq.heappop(heaps[i]) for i in todo]
+        lo, hi = [], []
+        for _, a, b, _ in popped:
+            m = 0.5 * (a + b)
+            lo += (a, m)
+            hi += (m, b)
+        vals, errs = _panels(f, np.array(lo), np.array(hi),
+                             np.repeat(np.array(todo, dtype=np.intp), 2), shift)
+        for j, (i, (negerr, a, b, val)) in enumerate(zip(todo, popped)):
+            m = hi[2 * j]
+            v1, v2 = vals[2 * j], vals[2 * j + 1]
+            e1, e2 = errs[2 * j], errs[2 * j + 1]
+            total[i] += v1 + v2 - val
+            toterr[i] += e1 + e2 + negerr      # negerr removes the parent error
+            heapq.heappush(heaps[i], (-e1, a, m, v1))
+            heapq.heappush(heaps[i], (-e2, m, b, v2))
+            splits[i] += 1
+        active = todo
+
+
+def integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   domains: Sequence[tuple[float, float]],
+                   spec: QuadratureSpec | None = None,
+                   points: Sequence[Sequence[float]] = ()) -> np.ndarray:
+    """Integrate ``f`` over each of ``domains`` to the spec's tolerance.
+
+    ``f(x, rows)`` gets an (k, 15) array of abscissae, one panel per row,
+    and the index into ``domains`` of the integral each row belongs to; it
+    returns the integrands' values in an array of the same shape.  Every
+    integral keeps its own panels, error control and subdivision budget, so
+    each value is bit for bit what :func:`integrate` returns for it alone.
+    ``points`` holds one tuple of interior breakpoints per domain (empty for
+    none).  Returns the values as a 1-D array, complex if ``f`` is.
+
+    Domains and errors are as in :func:`integrate`; a
+    :class:`NonConvergence` carries the ``index``, estimate and error bound
+    of the integral that failed.
+    """
+    points = list(points) or [()] * len(domains)
+    if len(points) != len(domains):
+        raise ValueError("points needs one breakpoint tuple per domain")
+    setups = [_setup(d, p) for d, p in zip(domains, points)]
+    vals = _adaptive(f, setups, spec or QuadratureSpec())
+    return np.array([-v if flip else v for v, (flip, _, _) in zip(vals, setups)])
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -190,34 +296,19 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     (known kinks, decay scales) seeding the initial panels; supplying the
     decay scale of a sharply-cut integrand is the caller's job, the engine
     cannot see features far below its first panel's nodes.  A complex
-    ``f`` gets a complex result, with the error measured in modulus.
+    ``f`` gets a complex result, with the error measured in modulus.  This
+    is :func:`integrate_many` for one domain, with ``f`` given the nodes as
+    a flat 1-D array.
 
     Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``
     attached) if the budget of subdivisions is exhausted first or the
-    estimate turns NaN, and :class:`DomainError` for a NaN endpoint.
+    estimate turns NaN, :class:`DomainError` for a NaN limit or a limit of
+    -inf, and ``ValueError`` for a doubly infinite domain.
     """
-    spec = spec or QuadratureSpec()
-    a, b = domain
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("integration limits must not be NaN")
-    if math.isinf(b):
-        if math.isinf(a):
-            raise ValueError("doubly infinite domains are not supported")
-        shift = a
+    flip, shift, brk = _setup(domain, points)
 
-        def g(u):
-            t = u / (1.0 - u)
-            return f(shift + t) / (1.0 - u) ** 2
+    def flat(x, rows):
+        return np.asarray(f(x.ravel())).reshape(x.shape)
 
-        brk = sorted({0.0, 1.0, *((p - shift) / (1.0 + (p - shift))
-                                  for p in points if p > shift)})
-        val, _ = _adaptive(g, brk, spec)
-        return val
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate(f, (b, a), spec, points)
-    brk = sorted({float(a), float(b), *(float(p) for p in points if a < p < b)})
-    val, _ = _adaptive(f, brk, spec)
-    return val
-
+    val = _adaptive(flat, [(flip, shift, brk)], spec or QuadratureSpec())[0]
+    return -val if flip else val

@@ -60,6 +60,27 @@ def test_generator_zero_function():
                            0.3) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_generator_on_array_of_z_matches_scalar_calls():
+    g = lambda x: tilde_phi(2, x)
+    spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
+    # points next to both ends (no left or no right outer integral), next
+    # to kinks, and in the middle, as a 2-D array
+    zs = np.array([[-0.95, -0.5, -1.0 / 3.0 + 0.01],
+                   [0.02, 0.4, 0.93]])
+    vals = generator_apply(g, zs, spec=spec)
+    assert vals.shape == zs.shape
+    assert vals.ravel().tolist() == [generator_apply(g, z, spec=spec)
+                                     for z in zs.ravel().tolist()]
+    assert isinstance(generator_apply(g, 0.4, spec=spec), float)
+
+
+@pytest.mark.parametrize("z", [[0.2, 1.0], [-1.5, 0.0], [0.1, math.nan],
+                               -1.0, math.nan])
+def test_generator_rejects_points_outside_support(z):
+    with pytest.raises(DomainError):
+        generator_apply(lambda x: tilde_phi(1, x), z)
+
+
 def test_generator_linearity():
     rng = np.random.default_rng(3)
     a, b = rng.uniform(-2, 2, 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cauchyspec import (QuadratureSpec, exit_density, exit_law, exit_mass,
                         f_exit, heat_kernel, heat_kernel_spectral, integrate,
                         survival)
+from cauchyspec.specialfun import CATALAN
 
 SPEC9 = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=6000)
 
@@ -54,6 +55,30 @@ def test_survival_is_density_complement():
     t = 1.0
     mass = integrate(lambda s: exit_density(1.0, s), (1e-12, t), SPEC9)
     assert survival(1.0, t) + mass == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("t", [1e12, 1e50])
+def test_survival_far_horizon_within_tail_bound(t):
+    # survival(1, t) <= tail of the exit density beyond t; with one panel
+    # [1, t] the quadrature missed the mass near s = 1 and returned 0.67
+    # at t = 1e50
+    bound = 2.0 * math.exp(CATALAN / math.pi) / (math.pi * math.sqrt(t))
+    assert 0.0 <= survival(1.0, t) <= bound + 1e-11
+
+
+def test_exit_law_is_the_scalar_interval_sum():
+    # the batched interval integrals accumulate exactly as one integrate
+    # call per interval would
+    ts = np.linspace(0.2, 3.0, 15)
+    law = exit_law(1.0, ts)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    dens = lambda s: exit_density(1.0, s)
+    acc = integrate(dens, (0.0, float(ts[0])), spec, points=(1.0,))
+    surv = [1.0 - acc]
+    for lo, hi in zip(ts[:-1].tolist(), ts[1:].tolist()):
+        acc += integrate(dens, (lo, hi), spec)
+        surv.append(1.0 - acc)
+    assert law.survival.tolist() == surv
 
 
 def test_exit_law_table_consistency():
