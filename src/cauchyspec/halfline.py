@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse, PoleError
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
                          integrate_many)
-from .specialfun import CATALAN, _finite, b_complex, eta, ti2
+from .specialfun import CATALAN, _eta_pos, _finite, b_complex, eta, ti2
 
 __all__ = [
     "EigenfunctionEval", "KernelTable", "ExitLaw",
@@ -271,13 +271,17 @@ def f_exit(s):
     at 0, positive and bounded).  Equals s^{1-arctan(s)/pi} (1+s^2)^{-3/4}
     e^{Ti2(s)/pi} / pi.  NaN and +-inf raise DomainError."""
     s = _finite("f_exit", s, low=0.0)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
+    out = _f(np.atleast_1d(s))
+    return float(out[0]) if s.ndim == 0 else out
+
+
+def _f(s: np.ndarray) -> np.ndarray:
+    """The exit kernel f on a float array of finite s >= 0, unchecked."""
     out = np.zeros_like(s)
     p = s > 0
     sp = s[p]
-    out[p] = sp / (_PI * (1.0 + sp * sp)) * np.exp(eta(sp))
-    return float(out[0]) if scalar else out
+    out[p] = sp / (_PI * (1.0 + sp * sp)) * np.exp(_eta_pos(sp))
+    return out
 
 
 def _f_over_s(s, x: float):
@@ -355,7 +359,8 @@ def heat_kernel(t: float, x: float, y: float,
     def integrand(s):
         a = s / x
         b = (t - s) / y
-        return f_exit(np.abs(a)) * f_exit(np.abs(b)) / (a + b)
+        fab = _f(np.abs(np.concatenate((a, b))))
+        return fab[:a.size] * fab[a.size:] / (a + b)
 
     corr = integrate(integrand, (0.0, t), spec)
     return cauchy - corr / (x * y)

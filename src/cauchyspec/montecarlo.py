@@ -9,14 +9,18 @@ set at nested strides (1-stability makes stride monitoring exactly the
 coarser-step estimator), which yields a deterministic, monotone trend toward
 the closed-form value as the step shrinks.
 
-Randomness comes from numpy's PCG64 generator seeded through SeedSequence;
-batches use spawned child sequences, so results are reproducible from
-(seed, paths, batch count) alone and independent of execution order.
+Randomness comes from numpy's PCG64 generator seeded through SeedSequence.
+The paths are split into a fixed number of batches, each drawing from its
+own spawned child sequence; consecutive batches advance together, one time
+step at a time, in groups of bounded size, so one step is a few array
+passes over the whole group.  Results depend only on (seed, paths, batch
+count), not on the grouping or the order of execution.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,8 @@ __all__ = ["McConfig", "McEstimate", "sample_cauchy_increments",
            "estimate_survival", "refinement_study"]
 
 _N_BATCHES = 16
+#: most paths that advance together, which bounds the step arrays
+_GROUP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -62,36 +68,53 @@ def sample_cauchy_increments(scale: float, rng: np.random.Generator,
 
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     """Alive counts at horizon t for each monitoring stride (multiples of
-    cfg.dt), sharing one simulated path set per batch.  Non-finite or
-    non-positive x and t raise DomainError."""
+    cfg.dt), sharing one simulated path set.  Non-finite or non-positive x
+    and t raise DomainError.
+
+    Batch b draws its paths' increments from its own spawned stream, step
+    by step, exactly as if simulated alone; consecutive batches advance
+    together in one array of at most _GROUP paths (a larger batch on its
+    own), so each step is a few whole-array passes."""
     _check_positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise ValueError("t must be a multiple of dt")
-    strides = tuple(int(s) for s in strides)
     if any(nsteps % s for s in strides):
         raise ValueError("every stride must divide the step count")
-    counts = np.zeros(len(strides), dtype=np.int64)
-    used = 0
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(_N_BATCHES)
-    base = cfg.paths // _N_BATCHES
+    base, extra = divmod(cfg.paths, _N_BATCHES)
+    children = np.random.SeedSequence(cfg.seed).spawn(_N_BATCHES)
+    groups, size = [[]], 0           # (stream, lo, hi) of each batch, grouped
     for b, child in enumerate(children):
-        npaths = base + (1 if b < cfg.paths % _N_BATCHES else 0)
-        if npaths == 0:
+        n = base + (b < extra)
+        if n == 0:
             continue
-        rng = np.random.default_rng(child)
-        pos = np.full(npaths, float(x))
-        alive = np.ones((len(strides), npaths), dtype=bool)
+        if size and size + n > _GROUP:
+            groups.append([])
+            size = 0
+        groups[-1].append((np.random.default_rng(child), size, size + n))
+        size += n
+    counts = np.zeros(len(strides), dtype=np.int64)
+    for group in groups:
+        n = group[-1][2]
+        pos = np.full(n, float(x))
+        u = np.empty(n)
+        up = np.empty(n, dtype=bool)
+        alive = np.ones((len(strides), n), dtype=bool)
         for k in range(1, nsteps + 1):
-            pos = pos + sample_cauchy_increments(cfg.dt, rng, npaths)
-            neg = pos <= 0.0
+            for rng, lo, hi in group:
+                rng.random(out=u[lo:hi])
+            # the increment dt * tan(pi (U - 1/2)) of sample_cauchy_increments
+            u -= 0.5
+            u *= math.pi
+            np.tan(u, out=u)
+            u *= cfg.dt
+            pos += u
+            np.greater(pos, 0.0, out=up)
             for i, s in enumerate(strides):
                 if k % s == 0:
-                    alive[i] &= ~neg
+                    alive[i] &= up
         counts += alive.sum(axis=1)
-        used += npaths
-    return counts, used
+    return counts, cfg.paths
 
 
 def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:
@@ -109,8 +132,15 @@ def refinement_study(x: float, t: float, cfg: McConfig,
     Because increments are stable, monitoring every k-th step of a dt-path
     reproduces the k*dt estimator exactly, coupled across factors; the
     returned estimates are non-increasing as the step shrinks, converging
-    from above toward the closed-form survival.
+    from above toward the closed-form survival.  ``factors`` must be a
+    non-empty sequence of positive integers (ValueError otherwise, before
+    any path is drawn).
     """
+    factors = tuple(factors)
+    if not factors:
+        raise ValueError("factors must not be empty")
+    if not all(isinstance(f, numbers.Integral) and f > 0 for f in factors):
+        raise ValueError("every factor must be a positive integer")
     counts, used = _survive_batches(x, t, cfg, strides=factors)
     out = []
     for f, c in zip(factors, counts):

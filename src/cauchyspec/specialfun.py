@@ -55,8 +55,18 @@ def ti2(t):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):                 # False for NaN too
         raise DomainError("ti2 requires t >= 0")
-    out = spence(1.0 - 1j * t).imag
+    out = _ti2(t)
     return float(out) if t.ndim == 0 else out
+
+
+def _ti2(t: np.ndarray) -> np.ndarray:
+    """Ti2 on a float array of t >= 0, unchecked."""
+    return spence(1.0 - 1j * t).imag
+
+
+def _eta_pos(a: np.ndarray) -> np.ndarray:
+    """eta on a float array of finite a > 0, unchecked."""
+    return 0.25 * np.log1p(a * a) - (np.arctan(a) * np.log(a) - _ti2(a)) / _PI
 
 
 def eta(t):
@@ -72,8 +82,7 @@ def eta(t):
     a = np.abs(t)
     res = np.zeros_like(a)
     pos = a > 0
-    ap = a[pos]
-    res[pos] = 0.25 * np.log1p(ap * ap) - (np.arctan(ap) * np.log(ap) - ti2(ap)) / _PI
+    res[pos] = _eta_pos(a[pos])
     res = np.where(t < 0, -res + 0.5 * np.log1p(a * a), res)
     return float(res[0]) if scalar else res
 

@@ -31,6 +31,19 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_validate_leaves_scipy_integrate_unloaded():
+    # the checks take their reference integrals from the package's own
+    # quadrature, so validating never pays for importing scipy.integrate
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys, cauchyspec.cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = cauchyspec.cli.main(['validate', '--level', 'quick'])\n"
+         "print(code, 'scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 False"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "cauchyspec.cli", "eigs", "--n-max", "5",

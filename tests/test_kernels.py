@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyspec import (QuadratureSpec, exit_density, exit_law, exit_mass,
-                        f_exit, heat_kernel, heat_kernel_spectral, integrate,
-                        survival)
+                        f_exit, heat_kernel, heat_kernel_spectral,
+                        heat_kernel_table, integrate, survival)
 from cauchyspec.specialfun import CATALAN
 
 SPEC9 = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=6000)
@@ -98,6 +98,27 @@ def test_heat_kernel_symmetry_and_bounds():
     v2 = heat_kernel(1.0, 2.0, 0.3)
     assert v1 == pytest.approx(v2, abs=1e-13)
     assert 0.0 <= v1 <= cauchy_kernel(1.0, 1.7)
+
+
+def test_heat_kernel_table_matches_two_f_exit_integrand():
+    # the integrand evaluates f once on both arguments; this is the form
+    # that called f_exit on each, and every cell must agree bit for bit
+    def two_calls(t, x, y):
+        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+
+        def integrand(s):
+            a = s / x
+            b = (t - s) / y
+            return f_exit(np.abs(a)) * f_exit(np.abs(b)) / (a + b)
+
+        cauchy = t / (math.pi * (t * t + (x - y) ** 2))
+        return cauchy - integrate(integrand, (0.0, t), spec) / (x * y)
+
+    for t, xs, ys in ((1.0, [0.3, 0.9, 2.0], [0.3, 1.1, 2.0]),
+                      (0.25, [0.05, 4.0], [0.7, 3.0, 9.0])):
+        table = heat_kernel_table(t, xs, ys).values
+        expect = np.array([[two_calls(t, x, y) for y in ys] for x in xs])
+        assert np.array_equal(table, expect)
 
 
 def test_heat_kernel_scaling():

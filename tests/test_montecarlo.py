@@ -3,8 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from cauchyspec import (McConfig, estimate_survival, refinement_study,
-                        sample_cauchy_increments, survival)
+from cauchyspec import (McConfig, estimate_survival, montecarlo,
+                        refinement_study, sample_cauchy_increments, survival)
+from cauchyspec.halfline import _check_positive
+from cauchyspec.montecarlo import _N_BATCHES, _survive_batches
+
+
+def _survive_batches_reference(x: float, t: float, cfg: McConfig, strides=(1,)):
+    """The per-batch path loop the grouped one replaced, kept verbatim as an
+    oracle for its counts."""
+    _check_positive("x and t", x, t)
+    nsteps = int(round(t / cfg.dt))
+    if abs(nsteps * cfg.dt - t) > 1e-9 * t:
+        raise ValueError("t must be a multiple of dt")
+    strides = tuple(int(s) for s in strides)
+    if any(nsteps % s for s in strides):
+        raise ValueError("every stride must divide the step count")
+    counts = np.zeros(len(strides), dtype=np.int64)
+    used = 0
+    root = np.random.SeedSequence(cfg.seed)
+    children = root.spawn(_N_BATCHES)
+    base = cfg.paths // _N_BATCHES
+    for b, child in enumerate(children):
+        npaths = base + (1 if b < cfg.paths % _N_BATCHES else 0)
+        if npaths == 0:
+            continue
+        rng = np.random.default_rng(child)
+        pos = np.full(npaths, float(x))
+        alive = np.ones((len(strides), npaths), dtype=bool)
+        for k in range(1, nsteps + 1):
+            pos = pos + sample_cauchy_increments(cfg.dt, rng, npaths)
+            neg = pos <= 0.0
+            for i, s in enumerate(strides):
+                if k % s == 0:
+                    alive[i] &= ~neg
+        counts += alive.sum(axis=1)
+        used += npaths
+    return counts, used
 
 
 def test_config_validation():
@@ -92,3 +127,34 @@ def test_refinement_study_monotone_and_toward_closed_form():
     assert vals[-1] >= closed - 3 * study[-1][1].std_error
     # trend moves toward the closed form
     assert abs(vals[-1] - closed) <= abs(vals[0] - closed) + 1e-12
+
+
+@pytest.mark.parametrize("paths, dt, strides, group", [
+    (1003, 1e-2, (5, 1), None),
+    (5, 1e-2, (1,), None),
+    (700, 1e-2, (4, 2, 1), 100),
+    (1003, 1e-2, (1,), 50),
+], ids=["uneven-split", "empty-streams", "several-groups",
+        "batch-above-group"])
+def test_grouped_paths_match_per_batch_loop(monkeypatch, paths, dt, strides,
+                                            group):
+    # the streams advance together, but each draws and moves its own paths
+    # exactly as the per-batch loop did, so the counts agree exactly
+    if group is not None:
+        monkeypatch.setattr(montecarlo, "_GROUP", group)
+    cfg = McConfig(paths=paths, dt=dt, horizon=1.0, seed=2024)
+    counts, used = _survive_batches(0.8, 1.0, cfg, strides)
+    ref_counts, ref_used = _survive_batches_reference(0.8, 1.0, cfg, strides)
+    assert used == ref_used == paths
+    assert counts.tolist() == ref_counts.tolist()
+
+
+@pytest.mark.parametrize("factors", [(), (0,), (-1,), (2.5,)],
+                         ids=["empty", "zero", "negative", "fractional"])
+def test_refinement_study_rejects_bad_factors(monkeypatch, factors):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were simulated")
+    monkeypatch.setattr(montecarlo, "_survive_batches", no_draws)
+    cfg = McConfig(paths=100, dt=0.1, horizon=1.0, seed=1)
+    with pytest.raises(ValueError):
+        refinement_study(1.0, 1.0, cfg, factors=factors)
