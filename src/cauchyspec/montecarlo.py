@@ -11,16 +11,24 @@ the closed-form value as the step shrinks.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence.
 The paths are split into a fixed number of batches, each drawing from its
-own spawned child sequence; consecutive batches advance together, one time
-step at a time, in groups of bounded size, so one step is a few array
-passes over the whole group.  Results depend only on (seed, paths, batch
-count), not on the grouping or the order of execution.
+own spawned child sequence.  The non-empty batches are dealt, in order, into
+one contiguous share per CPU the process may run on (its affinity mask),
+capped at the number of batches; the calling thread advances the first share
+and one helper thread each of the others, started and joined within the call.
+Within a share, consecutive batches advance together, one time step at a
+time, in groups of bounded size, so one step is a few array passes over the
+whole group; the random draws and the array passes release the interpreter
+lock, so the shares run in parallel.  Results depend only on (seed, paths,
+batch count), not on the grouping, the number of threads or the order of
+execution.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +51,15 @@ class McConfig:
     seed: int = 20270405
 
     def __post_init__(self):
+        # bool is an Integral, but True paths or seed is a mistake
+        for name in ("paths", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.dt <= self.horizon < math.inf:
             raise ValueError("need 0 < dt <= horizon < inf")
 
@@ -66,15 +81,85 @@ def sample_cauchy_increments(scale: float, rng: np.random.Generator,
     return scale * np.tan(math.pi * (u - 0.5))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _groups(batches):
+    """(stream, lo, hi) of each (seed sequence, paths) batch, consecutive
+    batches grouped into arrays of at most _GROUP paths (a larger batch on
+    its own)."""
+    groups, size = [[]], 0
+    for child, n in batches:
+        if size and size + n > _GROUP:
+            groups.append([])
+            size = 0
+        groups[-1].append((np.random.default_rng(child), size, size + n))
+        size += n
+    return groups
+
+
+def _advance(groups, x, dt, nsteps, strides, stop):
+    """Alive counts for each stride over the paths of ``groups``.  Calls
+    only numpy, so that it can run on a helper thread.  Returns early, with
+    partial counts, once ``stop`` is set."""
+    counts = np.zeros(len(strides), dtype=np.int64)
+    for group in groups:
+        n = group[-1][2]
+        pos = np.full(n, x)
+        u = np.empty(n)
+        up = np.empty(n, dtype=bool)
+        alive = np.ones((len(strides), n), dtype=bool)
+        for k in range(1, nsteps + 1):
+            if stop.is_set():
+                return counts
+            for rng, lo, hi in group:
+                rng.random(out=u[lo:hi])
+            # the increment dt * tan(pi (U - 1/2)) of sample_cauchy_increments
+            u -= 0.5
+            u *= math.pi
+            np.tan(u, out=u)
+            u *= dt
+            pos += u
+            np.greater(pos, 0.0, out=up)
+            for i, s in enumerate(strides):
+                if k % s == 0:
+                    alive[i] &= up
+        counts += alive.sum(axis=1)
+    return counts
+
+
+def _helper(out, i, groups, x, dt, nsteps, strides, stop):
+    """Thread body: share i's counts, or the exception that ended it, into
+    out[i]; an exception also stops the other shares."""
+    try:
+        out[i] = _advance(groups, x, dt, nsteps, strides, stop)
+    except BaseException as exc:      # handed to the caller, which raises it
+        out[i] = exc
+        stop.set()
+
+
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     """Alive counts at horizon t for each monitoring stride (multiples of
     cfg.dt), sharing one simulated path set.  Non-finite or non-positive x
     and t raise DomainError.
 
     Batch b draws its paths' increments from its own spawned stream, step
-    by step, exactly as if simulated alone; consecutive batches advance
-    together in one array of at most _GROUP paths (a larger batch on its
-    own), so each step is a few whole-array passes."""
+    by step, exactly as if simulated alone.  The non-empty batches are split
+    into W contiguous shares of near-equal path count, W being the number of
+    CPUs in the affinity mask capped at the number of batches.  The calling
+    thread advances share 0 and W - 1 helper threads the others (none when
+    W = 1); every helper is joined before the call returns or raises, an
+    exception in any share stops the others within one step and reaches the
+    caller, and the shares' counts are summed in order.  Within a share,
+    consecutive batches advance together in one array of at most _GROUP
+    paths (a larger batch on its own), so each step is a few whole-array
+    passes.  The counts do not depend on W."""
     _check_positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
@@ -83,37 +168,34 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
         raise ValueError("every stride must divide the step count")
     base, extra = divmod(cfg.paths, _N_BATCHES)
     children = np.random.SeedSequence(cfg.seed).spawn(_N_BATCHES)
-    groups, size = [[]], 0           # (stream, lo, hi) of each batch, grouped
-    for b, child in enumerate(children):
-        n = base + (b < extra)
-        if n == 0:
-            continue
-        if size and size + n > _GROUP:
-            groups.append([])
-            size = 0
-        groups[-1].append((np.random.default_rng(child), size, size + n))
-        size += n
+    batches = [(child, base + (b < extra)) for b, child in enumerate(children)
+               if base + (b < extra)]
+    w = min(_available_cpus(), len(batches))
+    shares = [_groups(batches[i * len(batches) // w:
+                              (i + 1) * len(batches) // w])
+              for i in range(w)]
+    stop = threading.Event()
+    args = (float(x), cfg.dt, nsteps, strides, stop)
+    out = [None] * w
+    helpers = []
+    try:
+        for i in range(1, w):
+            th = threading.Thread(target=_helper,
+                                  args=(out, i, shares[i], *args))
+            th.start()
+            helpers.append(th)
+        out[0] = _advance(shares[0], *args)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for th in helpers:
+            th.join()
     counts = np.zeros(len(strides), dtype=np.int64)
-    for group in groups:
-        n = group[-1][2]
-        pos = np.full(n, float(x))
-        u = np.empty(n)
-        up = np.empty(n, dtype=bool)
-        alive = np.ones((len(strides), n), dtype=bool)
-        for k in range(1, nsteps + 1):
-            for rng, lo, hi in group:
-                rng.random(out=u[lo:hi])
-            # the increment dt * tan(pi (U - 1/2)) of sample_cauchy_increments
-            u -= 0.5
-            u *= math.pi
-            np.tan(u, out=u)
-            u *= cfg.dt
-            pos += u
-            np.greater(pos, 0.0, out=up)
-            for i, s in enumerate(strides):
-                if k % s == 0:
-                    alive[i] &= up
-        counts += alive.sum(axis=1)
+    for c in out:
+        if isinstance(c, BaseException):
+            raise c
+        counts += c
     return counts, cfg.paths
 
 

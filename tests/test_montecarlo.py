@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +49,21 @@ def test_config_validation():
         McConfig(paths=0)
     with pytest.raises(ValueError):
         McConfig(dt=2.0, horizon=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"paths": 1e4}, {"paths": True}, {"paths": "100"}, {"seed": None},
+    {"seed": -1}, {"seed": 1.0}, {"seed": False},
+], ids=["paths-float", "paths-bool", "paths-str", "seed-none",
+        "seed-negative", "seed-float", "seed-bool"])
+def test_config_rejects_non_integer_paths_and_seed(kwargs):
+    with pytest.raises(ValueError):
+        McConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = McConfig(paths=np.int64(100), seed=np.uint32(7))
+    assert cfg.paths == 100 and cfg.seed == 7
 
 
 @pytest.mark.parametrize("call", [
@@ -139,14 +156,62 @@ def test_refinement_study_monotone_and_toward_closed_form():
 def test_grouped_paths_match_per_batch_loop(monkeypatch, paths, dt, strides,
                                             group):
     # the streams advance together, but each draws and moves its own paths
-    # exactly as the per-batch loop did, so the counts agree exactly
+    # exactly as the per-batch loop did, so the counts agree exactly, for
+    # any number of worker threads (32 exceeds the non-empty batches)
     if group is not None:
         monkeypatch.setattr(montecarlo, "_GROUP", group)
     cfg = McConfig(paths=paths, dt=dt, horizon=1.0, seed=2024)
-    counts, used = _survive_batches(0.8, 1.0, cfg, strides)
     ref_counts, ref_used = _survive_batches_reference(0.8, 1.0, cfg, strides)
-    assert used == ref_used == paths
-    assert counts.tolist() == ref_counts.tolist()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)       # interleave the threads finely
+    try:
+        for workers in (1, 2, 3, 32):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+            before = threading.active_count()
+            counts, used = _survive_batches(0.8, 1.0, cfg, strides)
+            assert threading.active_count() == before
+            assert used == ref_used == paths
+            assert counts.tolist() == ref_counts.tolist(), workers
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_failure_in_one_share_reaches_caller_and_stops_the_others(
+        monkeypatch, failing):
+    # the failing share raises at its first draw; the other would take
+    # 100k steps if it did not stop
+    class Stream:
+        def __init__(self, rng, fail):
+            self.rng, self.fail, self.draws = rng, fail, 0
+
+        def random(self, out):
+            if self.fail:
+                raise RuntimeError("injected")
+            self.draws += 1
+            self.rng.random(out=out)
+
+    real = montecarlo._advance
+    survivors = []
+
+    def advance(groups, *args):
+        fail = (threading.current_thread() is threading.main_thread()) == (
+            failing == "caller")
+        groups = [[(Stream(rng, fail), lo, hi) for rng, lo, hi in g]
+                  for g in groups]
+        if not fail:
+            survivors.extend(s for g in groups for s, _, _ in g)
+        return real(groups, *args)
+
+    monkeypatch.setattr(montecarlo, "_advance", advance)
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    cfg = McConfig(paths=32, dt=1e-5, horizon=1.0, seed=3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected"):
+        _survive_batches(0.8, 1.0, cfg)
+    assert threading.active_count() == before
+    assert len(survivors) == _N_BATCHES // 2
+    assert all(s.draws < 50_000 for s in survivors)
 
 
 @pytest.mark.parametrize("factors", [(), (0,), (-1,), (2.5,)],
