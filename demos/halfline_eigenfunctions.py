@@ -10,15 +10,13 @@ import math
 
 import numpy as np
 
-from cauchyspec import (QuadratureSpec, integrate, laplace_psi, psi,
-                        psi_point, remainder)
+from cauchyspec import QuadratureSpec, integrate, laplace_psi, psi, remainder
 
 print("psi_1 and remainder on [0, 6*pi]:")
 print(f"{'x':>8} {'psi_1(x)':>12} {'r(x)':>12} {'sin(x+pi/8)':>12}")
-for x in np.linspace(0.0, 6 * math.pi, 13):
-    ev = psi_point(1.0, float(x))
-    print(f"{x:8.4f} {ev.psi:12.8f} {ev.remainder:12.8f} "
-          f"{math.sin(x + math.pi / 8):12.8f}")
+xs = np.linspace(0.0, 6 * math.pi, 13)
+for x, p, r in zip(xs, psi(1.0, xs), remainder(xs)):
+    print(f"{x:8.4f} {p:12.8f} {r:12.8f} {math.sin(x + math.pi / 8):12.8f}")
 
 print("\nremainder envelope: r(x) <= sqrt(2)/(2 pi x^2)")
 for x in (1.0, 2.0, 5.0, 10.0):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from cauchyspec import (QuadratureSpec, exit_law, exit_mass, heat_kernel,
+from cauchyspec import (CATALAN, QuadratureSpec, exit_law, heat_kernel,
                         heat_kernel_spectral, integrate, survival)
 
 print("closed form vs eigenfunction expansion of p_t(x, y):")
@@ -37,11 +37,17 @@ print(f"  kernel mass {total:.12f}   survival {s11:.12f}   "
       f"diff {abs(total - s11):.1e}")
 
 print("\nexit law from x = 1 (density f(t/x)/t, survival its complement):")
-law = exit_law(1.0, np.array([0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0]))
+ts = np.array([0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0])
+dens, surv = exit_law(1.0, ts)
 print(f"{'t':>6} {'density':>12} {'survival':>12}")
-for t, d, s in zip(law.ts, law.density, law.survival):
+for t, d, s in zip(ts, dens, surv):
     print(f"{t:6.2f} {d:12.8f} {s:12.8f}")
 
-mass, tail = exit_mass(1.0, tol=1e-8)
+# f(s)/s <= e^{C/pi}/pi s^{-3/2}: the density mass beyond T is at most
+# c/sqrt(T), c = 2 e^{C/pi}/pi, and T puts that bound at 1e-9
+c_tail = 2.0 * math.exp(CATALAN / math.pi) / math.pi
+horizon = (c_tail / 1e-9) ** 2
+mass = 1.0 - survival(1.0, horizon)
+tail = c_tail / math.sqrt(horizon)
 print(f"\ntotal exit mass up to the certified horizon: {mass:.10f} "
       f"(+ tail bound {tail:.1e}); deviation from 1: {abs(mass - 1):.1e}")

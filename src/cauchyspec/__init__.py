@@ -9,10 +9,9 @@ __version__ = "0.1.0"
 from .errors import (BracketInversion, CauchySpecError, DegeneratePencil,
                      DomainError, GridTooCoarse, NonConvergence,
                      NotPositiveDefinite, PoleError)
-from .halfline import (EigenfunctionEval, ExitLaw, KernelTable, exit_density,
-                       exit_law, exit_mass, f_exit, heat_kernel,
+from .halfline import (exit_density, exit_law, f_exit, heat_kernel,
                        heat_kernel_spectral, heat_kernel_table, laplace_psi,
-                       pi_transform, psi, psi_point, remainder, survival)
+                       pi_transform, psi, remainder, survival)
 from .interval import (REFERENCE_BRACKETS, EigBound, assemble_intermediate,
                        assemble_rayleigh_ritz, bracket, generator_apply,
                        green_moment, lower_bounds, mu_asymptotic, q_cutoff,
@@ -36,10 +35,9 @@ __all__ = [
     # special functions
     "CATALAN", "ti2", "eta", "b_complex",
     # half-line
-    "EigenfunctionEval", "KernelTable", "ExitLaw", "remainder", "psi",
-    "psi_point", "laplace_psi", "f_exit", "exit_density", "survival",
-    "exit_mass", "heat_kernel", "heat_kernel_spectral", "heat_kernel_table",
-    "exit_law", "pi_transform",
+    "remainder", "psi", "laplace_psi", "f_exit", "exit_density", "survival",
+    "heat_kernel", "heat_kernel_spectral", "heat_kernel_table", "exit_law",
+    "pi_transform",
     # interval
     "REFERENCE_BRACKETS", "EigBound", "mu_asymptotic", "q_cutoff",
     "tilde_phi", "generator_apply", "residual_norm", "tilde_phi_norm2",

@@ -18,14 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .halfline import (exit_mass, heat_kernel, heat_kernel_spectral,
-                       laplace_psi, pi_transform, psi, remainder,
-                       remainder_weight, survival)
+from .halfline import (heat_kernel, heat_kernel_spectral, laplace_psi,
+                       pi_transform, psi, remainder, remainder_weight,
+                       survival)
 from .interval import (bracket, gram_entry, green_moment, q_cutoff,
                        reference_excess)
 from .montecarlo import McConfig, refinement_study
 from .quadrature import GridFunction, QuadratureSpec, integrate
-from .specialfun import b_complex, eta
+from .specialfun import CATALAN, b_complex, eta
 
 __all__ = ["Check", "CHECKS", "run_checks", "spectral_rel_error", "bump",
            "bump_transform"]
@@ -199,8 +199,11 @@ def _brackets_n25():
 @_check("exit_density_mass", "full", 1e-6,
         "exit density integrates to 1 (tail certified)")
 def _exit_density_mass():
-    mass, tail = exit_mass(1.0, tol=1e-7)
-    return abs(mass - 1.0) + tail
+    # f(s)/s <= e^{C/pi}/pi s^{-3/2}, so the mass beyond T is at most
+    # c/sqrt(T), c = 2 e^{C/pi}/pi; T puts that bound at 1e-8
+    c_tail = 2.0 * math.exp(CATALAN / math.pi) / math.pi
+    horizon = (c_tail / 1e-8) ** 2
+    return abs(survival(1.0, horizon)) + c_tail / math.sqrt(horizon)
 
 
 @_check("heat_mass_balance", "full", 1e-7, "int p_1(1,y) dy = survival(1,1)")

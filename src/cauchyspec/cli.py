@@ -141,8 +141,8 @@ def cmd_heat(cfg: RunConfig) -> int:
     p = cfg.params
     xs = np.linspace(p["xmin"], p["xmax"], p["points"])
     tab = heat_kernel_table(p["t"], xs, xs)
-    rows = [[float(x), float(y), float(tab.values[i, j])]
-            for i, x in enumerate(tab.xs) for j, y in enumerate(tab.ys)]
+    rows = [[float(x), float(y), float(tab[i, j])]
+            for i, x in enumerate(xs) for j, y in enumerate(xs)]
     _emit(cfg, {"meta": _meta(cfg), "columns": ["x", "y", "p_killed"],
                 "rows": rows})
     return 0
@@ -152,9 +152,9 @@ def cmd_exit(cfg: RunConfig) -> int:
     from .halfline import exit_law
     p = cfg.params
     ts = np.linspace(p["tmin"], p["tmax"], p["points"])
-    law = exit_law(p["x"], ts)
+    dens, surv = exit_law(p["x"], ts)
     rows = [[float(t), float(d), float(s)]
-            for t, d, s in zip(law.ts, law.density, law.survival)]
+            for t, d, s in zip(ts, dens, surv)]
     _emit(cfg, {"meta": _meta(cfg), "columns": ["t", "density", "survival"],
                 "rows": rows})
     return 0

@@ -22,13 +22,19 @@ Pi, the spectral heat kernel and the interval eigenfunctions, is read on
 (2 panels per decade, degree 16), sampled from that rule on first use and
 within a few ulps of it; points outside that range go through the rule
 itself.  Everything else runs through the adaptive engine in
-:mod:`.quadrature`.
+:mod:`.quadrature`.  The exit law has one integration path: the masses of
+the exit density f(s/x)/s over (0, t_1), (t_1, t_2), ... form one batch of
+integrals, which gives survival at one time and the survival column of
+:func:`exit_law` alike.
+
+Results are plain floats and arrays: psi and r at a point come from
+:func:`psi` and :func:`remainder`, a heat-kernel table is a
+(len(xs), len(ys)) array and the exit law a (density, survival) pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,13 +42,12 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse, PoleError
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
                          integrate_many)
-from .specialfun import CATALAN, _eta_pos, _finite, b_complex, eta, ti2
+from .specialfun import _eta_pos, _finite, b_complex, eta, ti2
 
 __all__ = [
-    "EigenfunctionEval", "KernelTable", "ExitLaw",
-    "remainder", "psi", "psi_point", "laplace_psi",
-    "f_exit", "exit_density", "survival", "exit_mass", "heat_kernel",
-    "heat_kernel_spectral", "pi_transform", "heat_kernel_table", "exit_law",
+    "remainder", "psi", "laplace_psi", "f_exit", "exit_density", "survival",
+    "heat_kernel", "heat_kernel_spectral", "pi_transform", "heat_kernel_table",
+    "exit_law",
 ]
 
 _PI = math.pi
@@ -51,35 +56,6 @@ _SIN_PI8 = math.sin(_PI / 8.0)
 
 #: uniform bound on |psi|, used in spectral truncation (true sup is < 1.14)
 PSI_SUP = 1.14
-
-
-@dataclass(frozen=True)
-class EigenfunctionEval:
-    """One evaluation of the generalized eigenfunction, split into its
-    oscillatory part and the totally monotone remainder."""
-    lam: float
-    x: float
-    psi: float
-    remainder: float
-
-
-@dataclass
-class KernelTable:
-    """Killed transition density p^D_t(x, y) tabulated on a grid pair."""
-    t: float
-    xs: np.ndarray
-    ys: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
-class ExitLaw:
-    """First-exit-time density and survival probability on a time grid,
-    for the process started at x."""
-    x: float
-    ts: np.ndarray
-    density: np.ndarray
-    survival: np.ndarray
 
 
 def remainder_weight(t, form: str = "eta"):
@@ -99,19 +75,33 @@ def remainder_weight(t, form: str = "eta"):
     return out
 
 
+#: range and Gauss order of the octave panels of the Laplace rule
+_RULE_LO, _RULE_HI = 1e-13, 1e10
+_RULE_ORDER = 24
+#: range, panels per decade and degree of the remainder table
+_TABLE_LO, _TABLE_HI = 1e-12, 1e4
+_TABLE_PER_DECADE = 2
+_TABLE_DEGREE = 16
+_TABLE_U0 = math.log(_TABLE_LO)
+_TABLE_H = math.log(10.0) / _TABLE_PER_DECADE
+_TABLE_PANELS = round(math.log10(_TABLE_HI / _TABLE_LO)) * _TABLE_PER_DECADE
+#: points per block of a table evaluation, which bounds its temporaries
+_TABLE_BLOCK = 1 << 15
+
+
 @lru_cache(maxsize=None)
-def _laplace_rule(t_lo: float = 1e-13, t_hi: float = 1e10, order: int = 24):
-    """Composite Gauss rule on octave panels of (t_lo, t_hi), with the
-    remainder weight pre-evaluated.  Returns (nodes, weighted values, t_hi,
-    amplitude) where the amplitude w(t_hi) t_hi^{3/2} calibrates the
-    analytic t^{-3/2} tail beyond the last panel."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    n_oct = int(math.ceil(math.log2(t_hi / t_lo)))
-    edges = t_lo * 2.0 ** np.arange(n_oct + 1)
+def _laplace_rule():
+    """Composite Gauss rule on octave panels of (_RULE_LO, _RULE_HI), with
+    the remainder weight pre-evaluated.  Returns (nodes, weighted values,
+    T, amplitude), T being the end of the last panel, where the amplitude
+    w(T) T^{3/2} calibrates the analytic t^{-3/2} tail beyond it."""
+    gx, gw = np.polynomial.legendre.leggauss(_RULE_ORDER)
+    n_oct = int(math.ceil(math.log2(_RULE_HI / _RULE_LO)))
+    edges = _RULE_LO * 2.0 ** np.arange(n_oct + 1)
     a, b = edges[:-1], edges[1:]
     ts = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx).ravel()
     ws = (0.5 * (b - a)[:, None] * gw).ravel()
-    t_end = float(edges[-1])             # octave doubling overshoots t_hi
+    t_end = float(edges[-1])             # octave doubling overshoots _RULE_HI
     amp = float(remainder_weight(t_end)[0]) * t_end**1.5
     return ts, ws * remainder_weight(ts), t_end, amp
 
@@ -138,17 +128,6 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     for i in range(0, x.size, block):
         out[i:i + block] = np.exp(-np.outer(x[i:i + block], t)) @ wt
     return out + amp * _tail(x, T)
-
-
-#: range, panels per decade and degree of the remainder table
-_TABLE_LO, _TABLE_HI = 1e-12, 1e4
-_TABLE_PER_DECADE = 2
-_TABLE_DEGREE = 16
-_TABLE_U0 = math.log(_TABLE_LO)
-_TABLE_H = math.log(10.0) / _TABLE_PER_DECADE
-_TABLE_PANELS = round(math.log10(_TABLE_HI / _TABLE_LO)) * _TABLE_PER_DECADE
-#: points per block of a table evaluation, which bounds its temporaries
-_TABLE_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -246,12 +225,6 @@ def psi(lam: float, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def psi_point(lam: float, x: float) -> EigenfunctionEval:
-    """Single-point evaluation with the remainder reported separately."""
-    vals, rem = _psi_with_remainder(lam, x)
-    return EigenfunctionEval(lam, float(x), float(vals[0]), float(rem[0]))
-
-
 def laplace_psi(lam: float, z: complex) -> complex:
     """Laplace transform of psi(lam, .):
     (sqrt(2)/2) * lam * e^{b(z/lam)} / (lam^2 + z^2)  for finite z with
@@ -285,62 +258,49 @@ def _f(s: np.ndarray) -> np.ndarray:
 
 
 def _f_over_s(s, x: float):
-    """f(s/x)/s extended continuously by 1/(pi x) at s = 0."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    """f(s/x)/s on a float array of finite s >= 0, extended continuously by
+    1/(pi x) at s = 0; unchecked."""
     out = np.full_like(s, 1.0 / (_PI * x))
     p = s > 0
-    out[p] = f_exit(s[p] / x) / s[p]
+    out[p] = _f(s[p] / x) / s[p]
     return out
 
 
 def exit_density(x: float, t):
     """Density of the first exit time from (0, inf) started at x:
-    f(t/x)/t.  Scales as density(x, t) = density(1, t/x)/x."""
+    f(t/x)/t.  Scales as density(x, t) = density(1, t/x)/x.  x and every t
+    must be positive and finite."""
     _check_positive("x", x)
     t = _finite("exit_density", t)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     if np.any(t <= 0):
         raise DomainError("t must be positive")
-    out = f_exit(t / x) / t
+    out = _f_over_s(t, x)
     return float(out[0]) if scalar else out
+
+
+def _exit_masses(x: float, ts, tol: float) -> np.ndarray:
+    """The exit-density mass int f(s/x)/s ds of each interval (0, t_1),
+    (t_1, t_2), ... for increasing ts, as one batch of integrals to
+    absolute and relative tolerance tol.  The decades of x seed the first
+    interval: the s^(-3/2) tail of f(s/x)/s sits within a few multiples of
+    x, where the nodes of one wide panel [x, t_1] would never look."""
+    edges = [0.0, *ts]
+    decades = [x * 10.0**k for k in range(int(math.log10(ts[0] / x)) + 1)]
+    return integrate_many(lambda s, rows: _f_over_s(s, x),
+                          list(zip(edges[:-1], edges[1:])),
+                          QuadratureSpec(abs_tol=tol, rel_tol=tol),
+                          [decades] + [()] * (len(ts) - 1))
 
 
 def survival(x: float, t: float) -> float:
     """P(exit time > t) for the process started at x > 0:
-    1 - int_0^t f(s/x)/s ds.  Decreasing in t, between 0 and 1, and at least
-    (2/pi) arctan(x/t)."""
+    1 - int_0^t f(s/x)/s ds, integrated to 1e-12.  Decreasing in t, between
+    0 and 1, and at least (2/pi) arctan(x/t); x and t must be positive and
+    finite."""
     _check_positive("x, t", x, t)
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    mass = integrate(lambda s: _f_over_s(s, x), (0.0, t), spec,
-                     points=_decades(x, t))
-    return 1.0 - mass
-
-
-def _decades(x: float, t: float) -> list[float]:
-    """Breakpoints x, 10x, 100x, ... up to t for integrating f(s/x)/s over
-    (0, t): its s^(-3/2) tail sits within a few multiples of x, where the
-    nodes of one wide panel [x, t] would never look.  No decade beyond x
-    for t < 10x."""
-    return [x * 10.0**k for k in range(0, int(math.log10(t / x)) + 1)]
-
-
-def exit_mass(x: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Total exit-density mass up to a certified horizon T.
-
-    Returns (mass up to T, analytic bound on the tail beyond T); the tail
-    uses f(s)/s <= e^{C/pi}/(pi) (1+s^2)^{-3/4} <= e^{C/pi}/pi s^{-3/2},
-    so  tail(T) <= 2 e^{C/pi} / (pi sqrt(T)), and T is the horizon at which
-    that bound is tol/10.
-    """
-    _check_positive("x", x)
-    c_tail = 2.0 * math.exp(CATALAN / _PI) / _PI
-    horizon = (c_tail / (0.1 * tol)) ** 2
-    spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
-                          max_subdivisions=20000)
-    mass = integrate(lambda s: _f_over_s(s, x), (0.0, horizon), spec,
-                     points=_decades(x, horizon))
-    return mass, c_tail / math.sqrt(horizon)
+    return 1.0 - float(_exit_masses(x, [t], 1e-12)[0])
 
 
 def heat_kernel(t: float, x: float, y: float,
@@ -426,35 +386,26 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     return GridFunction.from_samples(out, vals)
 
 
-def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> KernelTable:
-    """Tabulate p^D_t on xs x ys, two non-empty 1-D arrays."""
+def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """p^D_t(x, y) for every x of xs and y of ys, two non-empty 1-D arrays,
+    as a (len(xs), len(ys)) array."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
         raise DomainError("xs and ys must be non-empty 1-D arrays")
-    vals = np.array([[heat_kernel(t, float(x), float(y)) for y in ys]
+    return np.array([[heat_kernel(t, float(x), float(y)) for y in ys]
                      for x in xs])
-    return KernelTable(t, xs, ys, vals)
 
 
-def exit_law(x: float, ts: np.ndarray) -> ExitLaw:
-    """Exit density and survival on a time grid; the survival column is the
-    complement of the incrementally accumulated density mass, so the two
-    columns are consistent by construction."""
+def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(density, survival) of the exit time started at x on a positive,
+    increasing 1-D time grid.  Survival is 1 minus the running sum of the
+    exit-density masses between consecutive times, each integrated to
+    1e-10, so the two columns are consistent by construction."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("ts must be a non-empty 1-D array")
     if np.any(ts <= 0) or not np.all(np.diff(ts) > 0):
         raise DomainError("ts must be positive and increasing")
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     dens = exit_density(x, ts)
-    edges = [0.0, *ts.tolist()]
-    pieces = integrate_many(
-        lambda s, rows: _f_over_s(s, x), list(zip(edges[:-1], edges[1:])), spec,
-        [_decades(x, edges[1])] + [()] * (ts.size - 1))
-    surv = np.empty_like(ts)
-    acc = 0.0
-    for k, piece in enumerate(pieces.tolist()):
-        acc += piece
-        surv[k] = 1.0 - acc
-    return ExitLaw(x, ts, dens, surv)
+    return dens, 1.0 - np.cumsum(_exit_masses(x, ts.tolist(), 1e-10))

@@ -144,8 +144,9 @@ def tilde_phi(n: int, x):
         q(-x) psi(mu_n, 1+x) + (-1)^{n+1} q(x) psi(mu_n, 1-x)
 
     (sign + for odd n, - for even), supported on (-1, 1), symmetric for odd
-    n and antisymmetric for even n.  NaN and +-inf raise DomainError."""
-    if n < 1:
+    n and antisymmetric for even n.  n other than an integer >= 1 (a bool is
+    not one) and an x of NaN or +-inf raise DomainError."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise DomainError("n must be a positive integer")
     mu = mu_asymptotic(n)
     sgn = 1.0 if n % 2 == 1 else -1.0
@@ -223,7 +224,7 @@ def generator_apply(g: Callable[[np.ndarray], np.ndarray], z,
 def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     """L2 norm over (-1,1) of (generator + mu_n) applied to tilde_phi_n,
     by Gauss quadrature on each smooth piece; the generator runs once, on
-    the nodes of all pieces together."""
+    the nodes of all pieces together.  n as in :func:`tilde_phi`."""
     mu = mu_asymptotic(n)
     g = lambda x: tilde_phi(n, x)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
@@ -239,7 +240,7 @@ def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
 
 
 def tilde_phi_norm2(n: int) -> float:
-    """Squared L2 norm of tilde_phi_n."""
+    """Squared L2 norm of tilde_phi_n; n as in :func:`tilde_phi`."""
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     g = lambda x: tilde_phi(n, x) ** 2
     return integrate(g, (-1.0, 1.0), spec, points=PHI_KINKS[1:-1])
@@ -399,15 +400,20 @@ def bracket(n_max: int, N: int) -> list[EigBound]:
 # Rayleigh-Ritz eigenfunctions
 
 
-def rr_eigenfunction(n: int, N: int, n_grid: int = 2001) -> GridFunction:
-    """The n-th Rayleigh-Ritz eigenfunction on a uniform (-1, 1) grid, as a
-    unit-L2-norm combination of orthonormal Legendre polynomials, sign-fixed
-    so its inner product with tilde_phi_n is positive."""
+#: nodes of the uniform grid on which rr_eigenfunction is sampled
+_RR_GRID = 2001
+
+
+def rr_eigenfunction(n: int, N: int) -> GridFunction:
+    """The n-th Rayleigh-Ritz eigenfunction on the uniform grid of _RR_GRID
+    nodes on [-1, 1], as a unit-L2-norm combination of orthonormal Legendre
+    polynomials, sign-fixed so its inner product with tilde_phi_n is
+    positive."""
     if n > N:
         raise DomainError("n must not exceed N")
     _, vec = _ritz(N)
     coeff = vec[:, n - 1]
-    xs = np.linspace(-1.0, 1.0, n_grid)
+    xs = np.linspace(-1.0, 1.0, _RR_GRID)
     basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
     vals = coeff @ basis
     gf = GridFunction.from_samples(xs, vals)

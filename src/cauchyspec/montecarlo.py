@@ -45,6 +45,8 @@ _GROUP = 1 << 17
 
 @dataclass(frozen=True)
 class McConfig:
+    """Path count, time step, longest simulated time and seed of a Monte
+    Carlo run; survival is estimated only at times t <= horizon."""
     paths: int = 100_000
     dt: float = 1e-3
     horizon: float = 1.0
@@ -145,9 +147,8 @@ def _helper(out, i, groups, x, dt, nsteps, strides, stop):
 
 
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
-    """Alive counts at horizon t for each monitoring stride (multiples of
-    cfg.dt), sharing one simulated path set.  Non-finite or non-positive x
-    and t raise DomainError.
+    """Alive counts at time t for each monitoring stride (multiples of
+    cfg.dt), sharing one simulated path set, for x and t already checked.
 
     Batch b draws its paths' increments from its own spawned stream, step
     by step, exactly as if simulated alone.  The non-empty batches are split
@@ -160,7 +161,6 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     consecutive batches advance together in one array of at most _GROUP
     paths (a larger batch on its own), so each step is a few whole-array
     passes.  The counts do not depend on W."""
-    _check_positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise ValueError("t must be a multiple of dt")
@@ -200,10 +200,10 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
 
 
 def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:
-    """Estimate P(exit time > t) for the process started at x > 0 by
-    discrete monitoring at multiples of cfg.dt: :func:`refinement_study`
-    at the single step cfg.dt.  Biased upward; the standard error is the
-    binomial sqrt(p(1-p)/paths)."""
+    """Estimate P(exit time > t) for the process started at x > 0 and
+    t <= cfg.horizon by discrete monitoring at multiples of cfg.dt:
+    :func:`refinement_study` at the single step cfg.dt.  Biased upward; the
+    standard error is the binomial sqrt(p(1-p)/paths)."""
     return refinement_study(x, t, cfg, factors=(1,))[0][1]
 
 
@@ -215,14 +215,18 @@ def refinement_study(x: float, t: float, cfg: McConfig,
     reproduces the k*dt estimator exactly, coupled across factors; the
     returned estimates are non-increasing as the step shrinks, converging
     from above toward the closed-form survival.  ``factors`` must be a
-    non-empty sequence of positive integers (ValueError otherwise, before
-    any path is drawn).
+    non-empty sequence of positive integers and t at most ``cfg.horizon``
+    (ValueError otherwise), and x and t positive and finite (DomainError
+    otherwise), all checked before any path is drawn.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("factors must not be empty")
     if not all(isinstance(f, numbers.Integral) and f > 0 for f in factors):
         raise ValueError("every factor must be a positive integer")
+    _check_positive("x and t", x, t)
+    if t > cfg.horizon:
+        raise ValueError("t must not exceed cfg.horizon")
     counts, used = _survive_batches(x, t, cfg, strides=factors)
     out = []
     for f, c in zip(factors, counts):

@@ -102,7 +102,9 @@ class GridFunction:
 
     ``weights`` are quadrature weights for the node set (trapezoid by
     default), so that ``(values * weights).sum()`` approximates the integral
-    and :meth:`norm2` the L2 norm.
+    and :meth:`norm2` the L2 norm.  Arrays of unequal shape, fewer than two
+    nodes or nodes not strictly increasing raise ``ValueError``; a NaN or
+    +-inf node, value or weight raises :class:`DomainError`.
     """
 
     nodes: np.ndarray
@@ -117,6 +119,9 @@ class GridFunction:
             raise ValueError("nodes, values and weights must have equal length")
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("need at least two grid nodes")
+        if not all(np.isfinite(a).all()
+                   for a in (self.nodes, self.values, self.weights)):
+            raise DomainError("nodes, values and weights must be finite")
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
 

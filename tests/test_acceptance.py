@@ -185,7 +185,7 @@ def test_criterion_11_eigenfunction_estimates():
     xs = np.linspace(-1.0, 1.0, 2001)
     parity_ok = sup_ok = True
     for n in range(1, 9):
-        gf = rr_eigenfunction(n, N, n_grid=2001)
+        gf = rr_eigenfunction(n, N)
         sym = float(np.abs(gf.values - gf.values[::-1]).max())
         anti = float(np.abs(gf.values + gf.values[::-1]).max())
         want_sym = n % 2 == 1
@@ -197,7 +197,7 @@ def test_criterion_11_eigenfunction_estimates():
     details = []
     for n in (5, 7):
         mu = mu_asymptotic(n)
-        gf = rr_eigenfunction(n, N, n_grid=2001)
+        gf = rr_eigenfunction(n, N)
         tp = tilde_phi(n, xs)
         w = gf.weights
         c = math.sqrt(float((tp * tp * w).sum()))

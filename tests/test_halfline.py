@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from cauchyspec import (DomainError, GridFunction, McConfig, NonConvergence,
                         PoleError, QuadratureSpec, b_complex, bracket, eta,
-                        estimate_survival, exit_density, exit_law, exit_mass,
-                        f_exit, green_moment, heat_kernel,
-                        heat_kernel_spectral, heat_kernel_table, integrate,
-                        laplace_psi, lower_bounds, pi_transform, psi,
-                        psi_point, q_cutoff, refinement_study, remainder,
-                        survival, tilde_phi, ti2, upper_bounds)
+                        estimate_survival, exit_density, exit_law, f_exit,
+                        green_moment, heat_kernel, heat_kernel_spectral,
+                        heat_kernel_table, integrate, laplace_psi,
+                        lower_bounds, pi_transform, psi, q_cutoff,
+                        refinement_study, remainder, residual_norm, survival,
+                        tilde_phi, tilde_phi_norm2, ti2, upper_bounds)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -117,14 +117,6 @@ def test_psi_rejects_non_finite(bad):
         psi(bad, 1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_psi_point_rejects_non_finite(bad):
-    with pytest.raises(DomainError):
-        psi_point(1.0, bad)
-    with pytest.raises(DomainError):
-        psi_point(bad, 1.0)
-
-
 NAN, INF = math.nan, math.inf
 ONES = GridFunction.from_samples(np.linspace(0.1, 1.0, 10), np.ones(10))
 
@@ -141,7 +133,6 @@ INVALID_CALLS = {
     "survival(nan,1)": (survival, NAN, 1.0),
     "survival(1,inf)": (survival, 1.0, INF),
     "exit_law(1,[1,inf])": (exit_law, 1.0, [1.0, INF]),
-    "exit_mass(nan)": (exit_mass, NAN),
     "heat_kernel(1,nan,1)": (heat_kernel, 1.0, NAN, 1.0),
     "heat_kernel(1,inf,1)": (heat_kernel, 1.0, INF, 1.0),
     "heat_kernel_spectral(1,nan,1)": (heat_kernel_spectral, 1.0, NAN, 1.0),
@@ -157,6 +148,10 @@ INVALID_CALLS = {
     "q_cutoff(nan)": (q_cutoff, NAN),
     "q_cutoff(inf)": (q_cutoff, INF),
     "tilde_phi(1,nan)": (tilde_phi, 1, NAN),
+    "tilde_phi(1.5,0.3)": (tilde_phi, 1.5, 0.3),
+    "tilde_phi(True,0.3)": (tilde_phi, True, 0.3),
+    "tilde_phi_norm2(2.5)": (tilde_phi_norm2, 2.5),
+    "residual_norm(2.5)": (residual_norm, 2.5),
     "estimate_survival(nan,1)": (estimate_survival, NAN, 1.0, McConfig()),
     "refinement_study(nan,1)": (refinement_study, NAN, 1.0, McConfig()),
     "refinement_study(-1,1)": (refinement_study, -1.0, 1.0, McConfig()),
@@ -171,6 +166,16 @@ INVALID_CALLS = {
     "exit_law(1,[[1,2]])": (exit_law, 1.0, [[1.0, 2.0]]),
     "heat_kernel_table(1,0.5,[1])": (heat_kernel_table, 1.0, 0.5, [1.0]),
     "heat_kernel_table(1,[],[1])": (heat_kernel_table, 1.0, [], [1.0]),
+    "GridFunction(node nan)": (GridFunction.from_samples, [0.0, NAN, 2.0],
+                               [1.0, 1.0, 1.0]),
+    "GridFunction(node inf)": (GridFunction.from_samples, [0.0, 1.0, INF],
+                               [1.0, 1.0, 1.0]),
+    "GridFunction(value nan)": (GridFunction.from_samples, [0.0, 1.0, 2.0],
+                                [1.0, NAN, 1.0]),
+    "GridFunction(value -inf)": (GridFunction.from_samples, [0.0, 1.0, 2.0],
+                                 [1.0, -INF, 1.0]),
+    "GridFunction(weight nan)": (GridFunction, [0.0, 1.0], [1.0, 1.0],
+                                 [0.5, NAN]),
 }
 
 
@@ -198,7 +203,6 @@ def test_total_monotonicity_spot_checks():
 def test_psi_vanishes_off_halfline():
     assert psi(1.0, 0.0) == 0.0
     assert psi(1.0, -2.0) == 0.0
-    assert psi_point(1.0, 0.0).psi == 0.0
 
 
 def test_psi_scaling():
@@ -218,9 +222,9 @@ def test_psi_sup_bounds():
 
 
 def test_psi_point_decomposition():
-    ev = psi_point(2.0, 1.3)
-    assert ev.psi == pytest.approx(math.sin(2.0 * 1.3 + math.pi / 8) - ev.remainder)
-    assert ev.remainder > 0
+    val, rem = psi(2.0, 1.3), remainder(2.0 * 1.3)
+    assert val == pytest.approx(math.sin(2.0 * 1.3 + math.pi / 8) - rem)
+    assert rem > 0
 
 
 @settings(max_examples=30, deadline=None)

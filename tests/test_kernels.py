@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (QuadratureSpec, exit_density, exit_law, exit_mass,
-                        f_exit, heat_kernel, heat_kernel_spectral,
-                        heat_kernel_table, integrate, survival)
+from cauchyspec import (QuadratureSpec, exit_density, exit_law, f_exit,
+                        heat_kernel, heat_kernel_spectral, heat_kernel_table,
+                        integrate, survival)
 from cauchyspec.specialfun import CATALAN
 
 SPEC9 = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=6000)
@@ -27,7 +27,12 @@ def test_exit_density_values_and_scaling():
 
 
 def test_exit_density_total_mass_certified():
-    mass, tail = exit_mass(1.0, tol=1e-7)
+    # the mass up to T is 1 - survival(1, T); the density's tail beyond T is
+    # at most c/sqrt(T), and T puts that bound at 1e-8
+    c_tail = 2.0 * math.exp(CATALAN / math.pi) / math.pi
+    horizon = (c_tail / 1e-8) ** 2
+    mass = 1.0 - survival(1.0, horizon)
+    tail = c_tail / math.sqrt(horizon)
     assert tail < 1e-7
     assert mass + tail >= 1.0 - 1e-6
     assert mass <= 1.0 + 1e-6
@@ -70,7 +75,7 @@ def test_exit_law_is_the_scalar_interval_sum():
     # the batched interval integrals accumulate exactly as one integrate
     # call per interval would
     ts = np.linspace(0.2, 3.0, 15)
-    law = exit_law(1.0, ts)
+    _, law_surv = exit_law(1.0, ts)
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     dens = lambda s: exit_density(1.0, s)
     acc = integrate(dens, (0.0, float(ts[0])), spec, points=(1.0,))
@@ -78,19 +83,20 @@ def test_exit_law_is_the_scalar_interval_sum():
     for lo, hi in zip(ts[:-1].tolist(), ts[1:].tolist()):
         acc += integrate(dens, (lo, hi), spec)
         surv.append(1.0 - acc)
-    assert law.survival.tolist() == surv
+    assert law_surv.tolist() == surv
 
 
 def test_exit_law_table_consistency():
-    law = exit_law(1.0, np.linspace(0.2, 3.0, 15))
-    assert np.all(np.diff(law.survival) < 0)
-    assert law.survival[0] <= 1.0
-    assert law.survival[-1] >= 0.0
+    ts = np.linspace(0.2, 3.0, 15)
+    _, surv = exit_law(1.0, ts)
+    assert np.all(np.diff(surv) < 0)
+    assert surv[0] <= 1.0
+    assert surv[-1] >= 0.0
     # survival column is the complement of the accumulated density mass
     for k in (0, 7, 14):
         mass = integrate(lambda s: exit_density(1.0, s),
-                         (1e-12, float(law.ts[k])), SPEC9)
-        assert law.survival[k] == pytest.approx(1.0 - mass, abs=1e-8)
+                         (1e-12, float(ts[k])), SPEC9)
+        assert surv[k] == pytest.approx(1.0 - mass, abs=1e-8)
 
 
 def test_heat_kernel_symmetry_and_bounds():
@@ -116,7 +122,7 @@ def test_heat_kernel_table_matches_two_f_exit_integrand():
 
     for t, xs, ys in ((1.0, [0.3, 0.9, 2.0], [0.3, 1.1, 2.0]),
                       (0.25, [0.05, 4.0], [0.7, 3.0, 9.0])):
-        table = heat_kernel_table(t, xs, ys).values
+        table = heat_kernel_table(t, xs, ys)
         expect = np.array([[two_calls(t, x, y) for y in ys] for x in xs])
         assert np.array_equal(table, expect)
 

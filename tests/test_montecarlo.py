@@ -223,3 +223,14 @@ def test_refinement_study_rejects_bad_factors(monkeypatch, factors):
     cfg = McConfig(paths=100, dt=0.1, horizon=1.0, seed=1)
     with pytest.raises(ValueError):
         refinement_study(1.0, 1.0, cfg, factors=factors)
+
+
+def test_refinement_study_rejects_time_beyond_horizon(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were simulated")
+    monkeypatch.setattr(montecarlo, "_survive_batches", no_draws)
+    cfg = McConfig(paths=100, dt=0.01, horizon=0.02, seed=1)
+    with pytest.raises(ValueError):
+        refinement_study(1.0, 1.0, cfg)
+    with pytest.raises(ValueError):
+        estimate_survival(1.0, 1.0, cfg)
