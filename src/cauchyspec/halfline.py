@@ -205,15 +205,15 @@ def remainder(x):
 
 
 def _psi_with_remainder(lam: float, x):
-    """psi(lam, x) and r(lam x) as two 1-D arrays, both 0 where x <= 0, with
-    r evaluated once per point.  lam must be positive and every x finite."""
+    """psi(lam, x) and r(lam x) as two 1-D arrays, psi 0 where x <= 0 and r
+    0 where x < 0, with r evaluated once per point.  lam must be positive
+    and every x finite."""
     _check_positive("lam", lam)
     x = np.atleast_1d(_finite("psi", x))
     vals, rem = np.zeros_like(x), np.zeros_like(x)
+    rem[x >= 0] = remainder(lam * x[x >= 0])
     pos = x > 0
-    lx = lam * x[pos]
-    rem[pos] = remainder(lx)
-    vals[pos] = np.sin(lx + _PI / 8.0) - rem[pos]
+    vals[pos] = np.sin(lam * x[pos] + _PI / 8.0) - rem[pos]
     return vals, rem
 
 

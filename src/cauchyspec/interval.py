@@ -257,8 +257,11 @@ def _beta(k: int) -> int:
 def green_moment(m: int, n: int) -> float:
     """Moment of the interval Green operator against monomials:
     int int x^m G(x,y) y^n dx dy = pi beta_m beta_n / (2^{m+n} (m+n+2))
-    for m + n even, 0 otherwise.  Symmetric and positive when nonzero."""
-    if not all(isinstance(k, Integral) and k >= 0 for k in (m, n)):
+    for m + n even, 0 otherwise.  Symmetric and positive when nonzero.
+    m or n other than an integer >= 0 (a bool is not one) raises
+    DomainError."""
+    if not all(not isinstance(k, bool) and isinstance(k, Integral) and k >= 0
+               for k in (m, n)):
         raise DomainError("m, n must be nonnegative integers")
     if (m + n) % 2 == 1:
         return 0.0

@@ -11,16 +11,13 @@ the closed-form value as the step shrinks.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence.
 The paths are split into a fixed number of batches, each drawing from its
-own spawned child sequence.  The non-empty batches are dealt, in order, into
-one contiguous share per CPU the process may run on (its affinity mask),
-capped at the number of batches; the calling thread advances the first share
-and one helper thread each of the others, started and joined within the call.
-Within a share, consecutive batches advance together, one time step at a
-time, in groups of bounded size, so one step is a few array passes over the
-whole group; the random draws and the array passes release the interpreter
-lock, so the shares run in parallel.  Results depend only on (seed, paths,
-batch count), not on the grouping, the number of threads or the order of
-execution.
+own spawned child sequence.  Each batch is simulated alone, a block of time
+steps at a time: one draw fills the block, and a few array passes turn it
+into positions and update the alive masks.  The batches run on a thread
+pool with one worker per CPU the process may run on (its affinity mask);
+the draws and array passes release the interpreter lock, so the batches run
+in parallel.  Results depend only on (seed, paths, batch count), not on the
+block length, the number of workers or the order of execution.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import math
 import numbers
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +37,9 @@ __all__ = ["McConfig", "McEstimate", "sample_cauchy_increments",
            "estimate_survival", "refinement_study"]
 
 _N_BATCHES = 16
-#: most paths that advance together, which bounds the step arrays
-_GROUP = 1 << 17
+#: path-steps drawn at once by a batch (at least one step), which bounds
+#: its block array
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,23 @@ class McEstimate:
     paths_used: int
 
 
+def _cauchy(u: np.ndarray, scale: float) -> np.ndarray:
+    """Turn uniform draws U in [0, 1) into Cauchy increments
+    scale * tan(pi (U - 1/2)), in place."""
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= scale
+    return u
+
+
 def sample_cauchy_increments(scale: float, rng: np.random.Generator,
                              size=None) -> np.ndarray:
     """Cauchy increments with the density scale/(pi (scale^2 + x^2)),
     via inverse CDF."""
     if not 0 < scale < math.inf:              # False for NaN too
         raise ValueError("scale must be positive and finite")
-    u = rng.random(size)
-    return scale * np.tan(math.pi * (u - 0.5))
+    return _cauchy(np.asarray(rng.random(size)), scale)[()]
 
 
 def _available_cpus() -> int:
@@ -92,58 +100,34 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _groups(batches):
-    """(stream, lo, hi) of each (seed sequence, paths) batch, consecutive
-    batches grouped into arrays of at most _GROUP paths (a larger batch on
-    its own)."""
-    groups, size = [[]], 0
-    for child, n in batches:
-        if size and size + n > _GROUP:
-            groups.append([])
-            size = 0
-        groups[-1].append((np.random.default_rng(child), size, size + n))
-        size += n
-    return groups
-
-
-def _advance(groups, x, dt, nsteps, strides, stop):
-    """Alive counts for each stride over the paths of ``groups``.  Calls
-    only numpy, so that it can run on a helper thread.  Returns early, with
-    partial counts, once ``stop`` is set."""
-    counts = np.zeros(len(strides), dtype=np.int64)
-    for group in groups:
-        n = group[-1][2]
-        pos = np.full(n, x)
-        u = np.empty(n)
-        up = np.empty(n, dtype=bool)
-        alive = np.ones((len(strides), n), dtype=bool)
-        for k in range(1, nsteps + 1):
-            if stop.is_set():
-                return counts
-            for rng, lo, hi in group:
-                rng.random(out=u[lo:hi])
-            # the increment dt * tan(pi (U - 1/2)) of sample_cauchy_increments
-            u -= 0.5
-            u *= math.pi
-            np.tan(u, out=u)
-            u *= dt
-            pos += u
-            np.greater(pos, 0.0, out=up)
-            for i, s in enumerate(strides):
-                if k % s == 0:
-                    alive[i] &= up
-        counts += alive.sum(axis=1)
-    return counts
-
-
-def _helper(out, i, groups, x, dt, nsteps, strides, stop):
-    """Thread body: share i's counts, or the exception that ended it, into
-    out[i]; an exception also stops the other shares."""
+def _batch(rng, n, x, dt, nsteps, strides, stop):
+    """Alive counts for each stride over n paths started at x, whose
+    increments rng draws step by step.  A block of k steps is drawn at
+    once, row j holding step j's increments, and summed down the rows into
+    positions.  Calls only numpy between checks of ``stop``, once per
+    block, and returns early, with partial counts, once it is set; an
+    exception sets it before it propagates."""
+    k = max(1, _BLOCK // n)
+    block = np.empty((k, n))
+    pos = np.full(n, x)
+    alive = np.ones((len(strides), n), dtype=bool)
     try:
-        out[i] = _advance(groups, x, dt, nsteps, strides, stop)
-    except BaseException as exc:      # handed to the caller, which raises it
-        out[i] = exc
+        for k0 in range(0, nsteps, k):
+            if stop.is_set():
+                break
+            b = block[:min(k, nsteps - k0)]  # steps k0 + 1, ..., k0 + len(b)
+            rng.random(out=b)
+            _cauchy(b, dt)
+            b[0] += pos
+            for j in range(1, len(b)):
+                b[j] += b[j - 1]
+            pos[:] = b[-1]
+            for i, s in enumerate(strides):
+                alive[i] &= (b[(-(k0 + 1)) % s::s] > 0.0).all(axis=0)
+    except BaseException:
         stop.set()
+        raise
+    return alive.sum(axis=1)
 
 
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
@@ -151,16 +135,13 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     cfg.dt), sharing one simulated path set, for x and t already checked.
 
     Batch b draws its paths' increments from its own spawned stream, step
-    by step, exactly as if simulated alone.  The non-empty batches are split
-    into W contiguous shares of near-equal path count, W being the number of
-    CPUs in the affinity mask capped at the number of batches.  The calling
-    thread advances share 0 and W - 1 helper threads the others (none when
-    W = 1); every helper is joined before the call returns or raises, an
-    exception in any share stops the others within one step and reaches the
-    caller, and the shares' counts are summed in order.  Within a share,
-    consecutive batches advance together in one array of at most _GROUP
-    paths (a larger batch on its own), so each step is a few whole-array
-    passes.  The counts do not depend on W."""
+    by step, exactly as if simulated alone, one block of steps at a time
+    (_batch).  The non-empty batches go to a thread pool with one worker per
+    CPU in the affinity mask, capped at the number of batches, and the
+    counts are summed in batch order, so they do not depend on the pool.
+    An exception in any batch, or an interrupt of the caller's wait, stops
+    the others within one block, and the exception reaches the caller;
+    every worker is joined before the call returns or raises."""
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise ValueError("t must be a multiple of dt")
@@ -168,35 +149,16 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
         raise ValueError("every stride must divide the step count")
     base, extra = divmod(cfg.paths, _N_BATCHES)
     children = np.random.SeedSequence(cfg.seed).spawn(_N_BATCHES)
-    batches = [(child, base + (b < extra)) for b, child in enumerate(children)
-               if base + (b < extra)]
-    w = min(_available_cpus(), len(batches))
-    shares = [_groups(batches[i * len(batches) // w:
-                              (i + 1) * len(batches) // w])
-              for i in range(w)]
+    batches = [(np.random.default_rng(child), base + (b < extra))
+               for b, child in enumerate(children) if base + (b < extra)]
     stop = threading.Event()
-    args = (float(x), cfg.dt, nsteps, strides, stop)
-    out = [None] * w
-    helpers = []
-    try:
-        for i in range(1, w):
-            th = threading.Thread(target=_helper,
-                                  args=(out, i, shares[i], *args))
-            th.start()
-            helpers.append(th)
-        out[0] = _advance(shares[0], *args)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for th in helpers:
-            th.join()
-    counts = np.zeros(len(strides), dtype=np.int64)
-    for c in out:
-        if isinstance(c, BaseException):
-            raise c
-        counts += c
-    return counts, cfg.paths
+    with ThreadPoolExecutor(min(_available_cpus(), len(batches))) as pool:
+        futures = [pool.submit(_batch, rng, n, float(x), cfg.dt, nsteps,
+                               strides, stop) for rng, n in batches]
+        try:
+            return sum(f.result() for f in futures)
+        finally:
+            stop.set()      # else an interrupt here waits for every batch
 
 
 def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:
@@ -215,21 +177,22 @@ def refinement_study(x: float, t: float, cfg: McConfig,
     reproduces the k*dt estimator exactly, coupled across factors; the
     returned estimates are non-increasing as the step shrinks, converging
     from above toward the closed-form survival.  ``factors`` must be a
-    non-empty sequence of positive integers and t at most ``cfg.horizon``
-    (ValueError otherwise), and x and t positive and finite (DomainError
-    otherwise), all checked before any path is drawn.
+    non-empty sequence of positive integers (a bool is not one) and t at
+    most ``cfg.horizon`` (ValueError otherwise), and x and t positive and
+    finite (DomainError otherwise), all checked before any path is drawn.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("factors must not be empty")
-    if not all(isinstance(f, numbers.Integral) and f > 0 for f in factors):
+    if not all(not isinstance(f, bool) and isinstance(f, numbers.Integral)
+               and f > 0 for f in factors):
         raise ValueError("every factor must be a positive integer")
     _check_positive("x and t", x, t)
     if t > cfg.horizon:
         raise ValueError("t must not exceed cfg.horizon")
-    counts, used = _survive_batches(x, t, cfg, strides=factors)
+    used = cfg.paths
     out = []
-    for f, c in zip(factors, counts):
+    for f, c in zip(factors, _survive_batches(x, t, cfg, strides=factors)):
         p = c / used
         out.append((f * cfg.dt,
                     McEstimate(float(p), math.sqrt(max(p * (1 - p), 1e-12) / used),

@@ -138,6 +138,15 @@ def test_psi_table_properties(tmp_path):
     assert np.all(np.diff(inner) < 0)         # totally monotone remainder
 
 
+def test_psi_remainder_at_origin(tmp_path):
+    # psi vanishes at x = 0, but r(0) = sin(pi/8) is reported there
+    code, text = run_cli(["psi", "--lam", "1", "--xmin", "0", "--xmax", "1",
+                          "--points", "3", "--format", "csv"], tmp_path)
+    assert code == 0
+    rows = [l for l in text.splitlines() if not l.startswith("#")]
+    assert rows[1] == "0.0,0.0,0.3826834323650898"
+
+
 def test_heat_table_symmetric(tmp_path):
     code, text = run_cli(["heat", "--t", "1", "--xmin", "0.3", "--xmax", "2",
                           "--points", "4", "--format", "json"], tmp_path)

@@ -161,6 +161,8 @@ INVALID_CALLS = {
     "bracket(0,5)": (bracket, 0, 5),
     "bracket(-1,5)": (bracket, -1, 5),
     "green_moment(1.5,0.5)": (green_moment, 1.5, 0.5),
+    "green_moment(True,1)": (green_moment, True, 1),
+    "green_moment(0,False)": (green_moment, 0, False),
     "exit_law(1,5)": (exit_law, 1.0, 5.0),
     "exit_law(1,[])": (exit_law, 1.0, []),
     "exit_law(1,[[1,2]])": (exit_law, 1.0, [[1.0, 2.0]]),

@@ -12,8 +12,8 @@ from cauchyspec.montecarlo import _N_BATCHES, _survive_batches
 
 
 def _survive_batches_reference(x: float, t: float, cfg: McConfig, strides=(1,)):
-    """The per-batch path loop the grouped one replaced, kept verbatim as an
-    oracle for its counts."""
+    """The step-by-step per-batch path loop, kept verbatim as an oracle for
+    the counts of the block kernel."""
     _check_positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
@@ -146,76 +146,88 @@ def test_refinement_study_monotone_and_toward_closed_form():
     assert abs(vals[-1] - closed) <= abs(vals[0] - closed) + 1e-12
 
 
-@pytest.mark.parametrize("paths, dt, strides, group", [
+@pytest.mark.parametrize("paths, dt, strides, block", [
     (1003, 1e-2, (5, 1), None),
     (5, 1e-2, (1,), None),
     (700, 1e-2, (4, 2, 1), 100),
     (1003, 1e-2, (1,), 50),
+    (700, 1e-2, (4, 2, 1), 300),
+    (300, 1e-2, (4, 2, 1), 1),
 ], ids=["uneven-split", "empty-streams", "several-groups",
-        "batch-above-group"])
+        "batch-above-group", "block-across-strides", "one-step-blocks"])
 def test_grouped_paths_match_per_batch_loop(monkeypatch, paths, dt, strides,
-                                            group):
-    # the streams advance together, but each draws and moves its own paths
-    # exactly as the per-batch loop did, so the counts agree exactly, for
-    # any number of worker threads (32 exceeds the non-empty batches)
-    if group is not None:
-        monkeypatch.setattr(montecarlo, "_GROUP", group)
+                                            block):
+    # each batch draws a block of steps at once, but moves its paths exactly
+    # as the per-batch loop did, so the counts agree exactly, for any number
+    # of worker threads (32 exceeds the non-empty batches); a block of 300
+    # path-steps holds 6 or 7 steps here, which divides neither the 100
+    # steps nor the strides
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = McConfig(paths=paths, dt=dt, horizon=1.0, seed=2024)
     ref_counts, ref_used = _survive_batches_reference(0.8, 1.0, cfg, strides)
+    assert ref_used == paths
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)       # interleave the threads finely
     try:
         for workers in (1, 2, 3, 32):
             monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
             before = threading.active_count()
-            counts, used = _survive_batches(0.8, 1.0, cfg, strides)
+            counts = _survive_batches(0.8, 1.0, cfg, strides)
             assert threading.active_count() == before
-            assert used == ref_used == paths
             assert counts.tolist() == ref_counts.tolist(), workers
     finally:
         sys.setswitchinterval(switch)
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_failure_in_one_share_reaches_caller_and_stops_the_others(
+@pytest.mark.parametrize("failing", [0, 3], ids=["first-batch", "later-batch"])
+def test_failure_in_one_batch_reaches_caller_and_stops_the_others(
         monkeypatch, failing):
-    # the failing share raises at its first draw; the other would take
-    # 100k steps if it did not stop
+    # four workers, one step per block: the failing batch raises at its
+    # first draw, while each batch running beside it, and each queued after
+    # it, would draw 100k blocks if it did not stop
     class Stream:
-        def __init__(self, rng, fail):
-            self.rng, self.fail, self.draws = rng, fail, 0
+        def __init__(self, rng, fail, stop):
+            self.rng, self.fail, self.stop = rng, fail, stop
+            self.draws = self.late = 0
 
         def random(self, out):
             if self.fail:
                 raise RuntimeError("injected")
             self.draws += 1
+            self.late += self.stop.is_set()
             self.rng.random(out=out)
 
-    real = montecarlo._advance
+    real = montecarlo._batch
     survivors = []
 
-    def advance(groups, *args):
-        fail = (threading.current_thread() is threading.main_thread()) == (
-            failing == "caller")
-        groups = [[(Stream(rng, fail), lo, hi) for rng, lo, hi in g]
-                  for g in groups]
+    def batch(rng, *args):
+        # batch b's stream is the b-th child of the seed sequence; the stop
+        # event is the last argument
+        fail = rng.bit_generator.seed_seq.spawn_key == (failing,)
+        stream = Stream(rng, fail, args[-1])
         if not fail:
-            survivors.extend(s for g in groups for s, _, _ in g)
-        return real(groups, *args)
+            survivors.append(stream)
+        return real(stream, *args)
 
-    monkeypatch.setattr(montecarlo, "_advance", advance)
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_batch", batch)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 4)
     cfg = McConfig(paths=32, dt=1e-5, horizon=1.0, seed=3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected"):
         _survive_batches(0.8, 1.0, cfg)
     assert threading.active_count() == before
-    assert len(survivors) == _N_BATCHES // 2
-    assert all(s.draws < 50_000 for s in survivors)
+    assert len(survivors) == _N_BATCHES - 1
+    # each draws at most the block it had begun when the stop was set
+    assert all(s.late <= 1 for s in survivors)
+    assert all(s.draws < 50_000 for s in survivors), [
+        s.draws for s in survivors]
 
 
-@pytest.mark.parametrize("factors", [(), (0,), (-1,), (2.5,)],
-                         ids=["empty", "zero", "negative", "fractional"])
+@pytest.mark.parametrize("factors", [(), (0,), (-1,), (2.5,), (True,)],
+                         ids=["empty", "zero", "negative", "fractional",
+                              "bool"])
 def test_refinement_study_rejects_bad_factors(monkeypatch, factors):
     def no_draws(*args, **kwargs):
         raise AssertionError("paths were simulated")
