@@ -27,9 +27,7 @@ print(f"  3 p_3(3, 0.9, 6) = {3 * heat_kernel(3.0, 0.9, 6.0):.12f}"
 
 print("\nmass balance: int_0^inf p_1(1, y) dy = survival(1, 1)")
 inner = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-total = integrate(lambda ys: np.array([heat_kernel(1.0, 1.0, float(v), inner)
-                                       for v in np.atleast_1d(ys)]),
-                  (0.0, math.inf),
+total = integrate(lambda ys: heat_kernel(1.0, 1.0, ys, inner), (0.0, math.inf),
                   QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9,
                                  max_subdivisions=6000))
 s11 = survival(1.0, 1.0)

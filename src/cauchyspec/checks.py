@@ -210,9 +210,7 @@ def _exit_density_mass():
 def _heat_mass_balance():
     inner = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
     total = integrate(
-        lambda ys: np.array([heat_kernel(1.0, 1.0, float(y), inner)
-                             for y in np.atleast_1d(ys)]),
-        (0.0, math.inf),
+        lambda ys: heat_kernel(1.0, 1.0, ys, inner), (0.0, math.inf),
         QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=4000))
     return abs(total - survival(1.0, 1.0))
 

@@ -25,7 +25,11 @@ itself.  Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
 the exit density f(s/x)/s over (0, t_1), (t_1, t_2), ... form one batch of
 integrals, which gives survival at one time and the survival column of
-:func:`exit_law` alike.
+:func:`exit_law` alike.  So has the closed-form heat kernel: the correction
+integrals of any set of (x, y) pairs form one batch, of one pair for a
+scalar :func:`heat_kernel`, of a 1-D y for an array call and of every cell
+for :func:`heat_kernel_table`, whose square tables (xs equal to ys) hold
+the cells on and above the diagonal alone and mirror them.
 
 Results are plain floats and arrays: psi and r at a point come from
 :func:`psi` and :func:`remainder`, a heat-kernel table is a
@@ -171,9 +175,10 @@ def _remainder_from_table(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_positive(names: str, *values: float) -> None:
-    """DomainError unless every value is positive and finite (NaN is not)."""
-    if not all(0.0 < v < math.inf for v in values):
+def _check_positive(names: str, *values) -> None:
+    """DomainError unless every value, a float or every entry of an array,
+    is positive and finite (NaN is not)."""
+    if not all(np.all((v > 0.0) & (v < math.inf)) for v in values):
         raise DomainError(f"{names} must be positive and finite")
 
 
@@ -303,27 +308,46 @@ def survival(x: float, t: float) -> float:
     return 1.0 - float(_exit_masses(x, [t], 1e-12)[0])
 
 
-def heat_kernel(t: float, x: float, y: float,
-                spec: QuadratureSpec | None = None) -> float:
+#: tolerance of the correction integral of the closed-form heat kernel
+_HEAT_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+
+
+def _heat_kernels(t: float, x: np.ndarray, y: np.ndarray,
+                  spec: QuadratureSpec) -> np.ndarray:
+    """p^D_t(x_i, y_i) for paired 1-D arrays x and y of positive, finite
+    points, with the correction integrals of all pairs run as one
+    :func:`integrate_many` batch; unchecked.  Each value is bit for bit the
+    one its integral gives alone."""
+    def integrand(s, rows):
+        a = s / x[rows, None]
+        b = (t - s) / y[rows, None]
+        fab = _f(np.abs(np.concatenate((a, b))))
+        return fab[:len(a)] * fab[len(a):] / (a + b)
+
+    corr = integrate_many(integrand, [(0.0, t)] * x.size, spec)
+    return t / (_PI * (t * t + (x - y) ** 2)) - corr / (x * y)
+
+
+def heat_kernel(t: float, x: float, y, spec: QuadratureSpec | None = None):
     """Killed transition density p^D_t(x, y), closed form:
 
         p_t(x-y) - (1/(xy)) int_0^t f(s/x) f((t-s)/y) / (s/x + (t-s)/y) ds
 
     with p_t the free Cauchy kernel.  Symmetric in (x, y), between 0 and
     p_t(x-y), with the scaling b*p^D_{bt}(bx, by) = p^D_t(x, y).
+
+    y is a scalar, which gives a float, or a 1-D array, which gives an
+    array: its correction integrals run as one batch, each value bit for bit
+    the scalar call's.  t, x and every y must be positive and finite; they
+    are checked before any integral runs.
     """
-    _check_positive("t, x, y", t, x, y)
-    spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-    cauchy = t / (_PI * (t * t + (x - y) ** 2))
-
-    def integrand(s):
-        a = s / x
-        b = (t - s) / y
-        fab = _f(np.abs(np.concatenate((a, b))))
-        return fab[:a.size] * fab[a.size:] / (a + b)
-
-    corr = integrate(integrand, (0.0, t), spec)
-    return cauchy - corr / (x * y)
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim > 1:
+        raise DomainError("y must be a scalar or a 1-D array")
+    _check_positive("t, x and y", t, x, ys)
+    out = _heat_kernels(float(t), np.full(ys.size, float(x)),
+                        np.atleast_1d(ys), spec or _HEAT_SPEC)
+    return float(out[0]) if ys.ndim == 0 else out
 
 
 def heat_kernel_spectral(t: float, x: float, y: float,
@@ -387,14 +411,27 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
 
 
 def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """p^D_t(x, y) for every x of xs and y of ys, two non-empty 1-D arrays,
-    as a (len(xs), len(ys)) array."""
+    """p^D_t(x, y) for every x of xs and y of ys, two non-empty 1-D arrays
+    of positive, finite points, as a (len(xs), len(ys)) array.
+
+    All cells are one batch of correction integrals, each cell bit for bit
+    the scalar :func:`heat_kernel`.  When xs equals ys the batch holds the
+    pairs i <= j alone and the lower triangle is their mirror image, since
+    p_t(x, y) = p_t(y, x); the table is then exactly symmetric.  t and every
+    point are checked before any integral runs."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
         raise DomainError("xs and ys must be non-empty 1-D arrays")
-    return np.array([[heat_kernel(t, float(x), float(y)) for y in ys]
-                     for x in xs])
+    _check_positive("t, xs and ys", t, xs, ys)
+    t = float(t)
+    if np.array_equal(xs, ys):
+        i, j = np.triu_indices(xs.size)
+        tab = np.empty((xs.size, xs.size))
+        tab[i, j] = tab[j, i] = _heat_kernels(t, xs[i], xs[j], _HEAT_SPEC)
+        return tab
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return _heat_kernels(t, x.ravel(), y.ravel(), _HEAT_SPEC).reshape(x.shape)
 
 
 def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -168,6 +168,14 @@ INVALID_CALLS = {
     "exit_law(1,[[1,2]])": (exit_law, 1.0, [[1.0, 2.0]]),
     "heat_kernel_table(1,0.5,[1])": (heat_kernel_table, 1.0, 0.5, [1.0]),
     "heat_kernel_table(1,[],[1])": (heat_kernel_table, 1.0, [], [1.0]),
+    "heat_kernel_table(1,[0.5,nan],[1])": (heat_kernel_table, 1.0,
+                                           [0.5, NAN], [1.0]),
+    "heat_kernel_table(1,[0.5],[1,0])": (heat_kernel_table, 1.0, [0.5],
+                                         [1.0, 0.0]),
+    "heat_kernel_table(inf,[0.5],[1])": (heat_kernel_table, INF, [0.5],
+                                         [1.0]),
+    "heat_kernel(1,1,[1,nan])": (heat_kernel, 1.0, 1.0, [1.0, NAN]),
+    "heat_kernel(1,1,[[1,2]])": (heat_kernel, 1.0, 1.0, [[1.0, 2.0]]),
     "GridFunction(node nan)": (GridFunction.from_samples, [0.0, NAN, 2.0],
                                [1.0, 1.0, 1.0]),
     "GridFunction(node inf)": (GridFunction.from_samples, [0.0, 1.0, INF],
@@ -184,6 +192,20 @@ INVALID_CALLS = {
 @pytest.mark.parametrize("call", INVALID_CALLS.values(), ids=INVALID_CALLS)
 def test_invalid_input_raises_domain_error(call):
     fn, *args = call
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("name", [k for k in INVALID_CALLS
+                                  if k.startswith("heat_kernel")])
+def test_heat_kernel_checks_every_point_before_integrating(name, monkeypatch):
+    # a bad point anywhere in the batch is caught before the first integrand
+    # evaluation, not when its own cell comes up
+    def no_integrand(s):
+        raise AssertionError("integrand evaluated before the input check")
+
+    monkeypatch.setattr("cauchyspec.halfline._f", no_integrand)
+    fn, *args = INVALID_CALLS[name]
     with pytest.raises(DomainError):
         fn(*args)
 

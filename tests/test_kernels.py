@@ -127,6 +127,26 @@ def test_heat_kernel_table_matches_two_f_exit_integrand():
         assert np.array_equal(table, expect)
 
 
+def test_square_heat_kernel_table_mirrors_its_upper_triangle():
+    xs = np.array([0.05, 0.3, 0.9, 1.1, 2.0, 4.0])
+    table = heat_kernel_table(0.7, xs, xs)
+    assert np.array_equal(table, table.T)
+    for i, j in zip(*np.triu_indices(xs.size)):
+        assert table[i, j] == heat_kernel(0.7, float(xs[i]), float(xs[j]))
+
+
+def test_array_heat_kernel_matches_scalar_calls():
+    ys = np.array([0.01, 0.3, 1.3, 1.3, 5.0, 40.0])
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+    for kw in ({}, {"spec": spec}):
+        vals = heat_kernel(0.8, 1.3, ys, **kw)
+        assert vals.shape == ys.shape
+        assert np.array_equal(vals, [heat_kernel(0.8, 1.3, float(y), **kw)
+                                     for y in ys])
+    assert type(heat_kernel(0.8, 1.3, 0.3)) is float
+    assert heat_kernel(0.8, 1.3, np.array([])).shape == (0,)
+
+
 def test_heat_kernel_scaling():
     t, x, y, b = 0.8, 0.5, 1.7, 3.0
     assert b * heat_kernel(b * t, b * x, b * y) == pytest.approx(
