@@ -15,12 +15,14 @@ law, and the transform Pi diagonalizing the killed semigroup (an involution
 up to the factor pi/2).
 
 Evaluation strategy: Laplace transforms of the w-family are defined by a
-fixed composite Gauss rule over logarithmic t-panels plus a closed-form
-t^{-3/2} tail (built lazily once).  The remainder r, which sits under psi,
-Pi, the spectral heat kernel and the interval eigenfunctions, is read on
-1e-12 < x < 1e4 from a piecewise-Chebyshev table of (1+x)^2 r(x) in log x
-(2 panels per decade, degree 16), sampled from that rule on first use and
-within a few ulps of it; points outside that range go through the rule
+fixed composite Gauss rule over logarithmic t-panels (built lazily once)
+plus two closed forms, a head c t below the first panel and a t^{-3/2}
+tail beyond the last, so the rule holds for every finite x >= 0.  The
+remainder r, which sits under psi, Pi, the spectral heat kernel and the
+interval eigenfunctions, is read on 1e-12 < x < 1e4 from a
+piecewise-Chebyshev table of (1+x)^2 r(x) in log x (2 panels per decade,
+degree 16), sampled from that rule on first use, transformed by numpy's
+FFT and within a few ulps of the rule; other points go through the rule
 itself.  Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
 the exit density f(s/x)/s over (0, t_1), (t_1, t_2), ... form one batch of
@@ -42,6 +44,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfc, gammainc
 
 from .errors import DomainError, GridTooCoarse, PoleError
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
@@ -110,9 +113,19 @@ def _laplace_rule():
     return ts, ws * remainder_weight(ts), t_end, amp
 
 
+def _head(x: np.ndarray) -> np.ndarray:
+    """int_0^_RULE_LO w(t) e^{-t x} dt in closed form.  There
+    w(t) = c t (1 + O(t log t)), c = sqrt(2)/(2 pi), so the head is
+    c P(2, _RULE_LO x)/x^2 with P the regularized incomplete gamma function,
+    accurate where _RULE_LO x is tiny.  c/x/x keeps x^2 from overflowing;
+    below x = 1, where the head is c _RULE_LO^2/2 to 1e-13 relative, x is
+    read as 1 so that c/x/x stays finite."""
+    x = np.maximum(x, 1.0)
+    return _SQ2_2PI / x / x * gammainc(2.0, _RULE_LO * x)
+
+
 def _tail(x: np.ndarray, T: float) -> np.ndarray:
     """int_T^inf t^{-3/2} e^{-t x} dt, in closed form via erfc."""
-    from scipy.special import erfc
     rT = math.sqrt(T)
     return (2.0 * np.exp(-x * T) / rT
             - 2.0 * np.sqrt(_PI * x) * erfc(np.sqrt(x) * rT))
@@ -121,36 +134,43 @@ def _tail(x: np.ndarray, T: float) -> np.ndarray:
 def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     """int_0^inf w(t) e^{-t x} dt for a batch of x > 0.
 
-    The panel rule covers (1e-13, 1e10); the remaining tail is added in
-    closed form with the calibrated t^{-3/2} asymptotics of the weight
-    (relative accuracy ~ log(T)/T there), so values stay accurate down to
-    x = 0+ instead of hitting a truncation floor.
+    The panel rule covers (1e-13, 1e10); the head below it (:func:`_head`)
+    and the tail beyond it, with the calibrated t^{-3/2} asymptotics of the
+    weight (relative accuracy ~ log(T)/T there), are added in closed form.
+    So values hold for every finite x > 0, from x = 0+ with no truncation
+    floor out to where r underflows, the head carrying all of r beyond
+    x ~ 1e15.  e^{-t x} underflows to 0 on the whole rule once 1e-13 x
+    passes about 745, so the rule and the tail read x capped at 1e3/1e-13,
+    which keeps t x finite.
     """
     t, wt, T, amp = _laplace_rule()
+    xr = np.minimum(x, 1e3 / _RULE_LO)
     out = np.empty_like(x)
     block = 2048
     for i in range(0, x.size, block):
-        out[i:i + block] = np.exp(-np.outer(x[i:i + block], t)) @ wt
-    return out + amp * _tail(x, T)
+        out[i:i + block] = np.exp(-np.outer(xr[i:i + block], t)) @ wt
+    return out + amp * _tail(xr, T) + _head(x)
 
 
 @lru_cache(maxsize=None)
 def _remainder_table() -> tuple[np.ndarray, ...]:
     """Chebyshev coefficients of g(x) = (1+x)^2 r(x) in u = log x, one
     degree-16 interpolant per half-decade panel of (1e-12, 1e4), sampled
-    from the Laplace rule at first-kind Chebyshev points one panel at a time
-    and transformed by a DCT-II (the basis is not formed by recurrence,
-    whose rounding would cost a digit).  g is analytic and between about 0.2
-    and 0.4 there, so the interpolants converge geometrically to the
-    rounding level of the rule.  Returned as one contiguous array per
-    degree."""
-    from scipy.fft import dct
+    from the Laplace rule at first-kind Chebyshev points one panel at a time.
+    The DCT-II of all panels is one real FFT of their even extensions, each
+    coefficient k turned by e^{-i pi k/(2m)} (the basis is not formed by
+    recurrence, whose rounding would cost a digit).  g is analytic and
+    between about 0.2 and 0.4 there, so the interpolants converge
+    geometrically to the rounding level of the rule.  Returned as one
+    contiguous array per degree."""
     m = _TABLE_DEGREE + 1
     s = np.cos(_PI * (np.arange(m) + 0.5) / m)
-    coef = np.empty((_TABLE_PANELS, m))
+    g = np.empty((_TABLE_PANELS, m))
     for k in range(_TABLE_PANELS):
         x = np.exp(_TABLE_U0 + _TABLE_H * (k + 0.5 * (s + 1.0)))
-        coef[k] = dct((1.0 + x) ** 2 * _laplace_of_weight(x), type=2) / m
+        g[k] = (1.0 + x) ** 2 * _laplace_of_weight(x)
+    ext = np.fft.rfft(np.concatenate((g, g[:, ::-1]), axis=1))[:, :m]
+    coef = (ext * np.exp(-0.5j * _PI * np.arange(m) / m)).real / m
     coef[:, 0] *= 0.5
     return tuple(np.ascontiguousarray(col) for col in coef.T)
 
@@ -190,7 +210,9 @@ def remainder(x):
     On 1e-12 < x < 1e4 the value comes from a piecewise-Chebyshev table of
     (1+x)^2 r(x) in log x, built on first use from the Laplace rule and
     within 4e-15 relative of it, at a small fraction of the rule's cost per
-    point; every other x goes through the rule and its closed-form tail.
+    point; every other x goes through the rule and its closed-form head and
+    tail, which keep it accurate down to x = 0+ and out to where r
+    underflows to 0.0, with no overflow on the way.
     NaN and +-inf raise DomainError."""
     x = _finite("remainder", x, low=0.0)
     scalar = x.ndim == 0
@@ -356,14 +378,18 @@ def heat_kernel_spectral(t: float, x: float, y: float,
     (2/pi) int_0^inf psi(lam,x) psi(lam,y) e^{-lam t} dlam.
 
     The integral is truncated at L chosen so the tail bound
-    (2/pi) PSI_SUP^2 e^{-L t}/t falls below tol; agreement with the closed
-    form is limited only by the quadrature tolerance.
+    (2/pi) PSI_SUP^2 e^{-L t}/t falls below tol/2; agreement with the
+    closed form is limited only by the quadrature tolerance.  When that L is
+    not positive the whole expansion is below tol/2 and the value is 0.0.
+    t and tol must be positive and finite, x and y finite.
     """
-    _check_positive("t", t)
+    _check_positive("t and tol", t, tol)
     _finite("heat_kernel_spectral", (x, y))
     if x <= 0 or y <= 0:
         return 0.0                      # psi vanishes off the half-line
     lam_max = math.log(2.0 * PSI_SUP**2 / (_PI * t * 0.5 * tol)) / t
+    if lam_max <= 0.0:
+        return 0.0
     spec = QuadratureSpec(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
                           max_subdivisions=int(200 + 40 * lam_max * (x + y)))
 

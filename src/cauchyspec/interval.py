@@ -76,6 +76,13 @@ REFERENCE_BRACKETS = {
 }
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """DomainError unless value is an integer >= low (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < low):
+        raise DomainError(f"{name} must be an integer >= {low}")
+
+
 def reference_excess(n: int, lower: float | None,
                      upper: float | None) -> float | None:
     """How far the bracket (lower, upper) of lambda_n misses containing its
@@ -146,8 +153,7 @@ def tilde_phi(n: int, x):
     (sign + for odd n, - for even), supported on (-1, 1), symmetric for odd
     n and antisymmetric for even n.  n other than an integer >= 1 (a bool is
     not one) and an x of NaN or +-inf raise DomainError."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise DomainError("n must be a positive integer")
+    _check_int("n", n, 1)
     mu = mu_asymptotic(n)
     sgn = 1.0 if n % 2 == 1 else -1.0
     x = _finite("tilde_phi", x)
@@ -224,7 +230,10 @@ def generator_apply(g: Callable[[np.ndarray], np.ndarray], z,
 def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     """L2 norm over (-1,1) of (generator + mu_n) applied to tilde_phi_n,
     by Gauss quadrature on each smooth piece; the generator runs once, on
-    the nodes of all pieces together.  n as in :func:`tilde_phi`."""
+    the nodes of all pieces together.  n as in :func:`tilde_phi`, and
+    nodes_per_piece an integer >= 1."""
+    _check_int("n", n, 1)
+    _check_int("nodes_per_piece", nodes_per_piece, 1)
     mu = mu_asymptotic(n)
     g = lambda x: tilde_phi(n, x)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
@@ -260,9 +269,8 @@ def green_moment(m: int, n: int) -> float:
     for m + n even, 0 otherwise.  Symmetric and positive when nonzero.
     m or n other than an integer >= 0 (a bool is not one) raises
     DomainError."""
-    if not all(not isinstance(k, bool) and isinstance(k, Integral) and k >= 0
-               for k in (m, n)):
-        raise DomainError("m, n must be nonnegative integers")
+    _check_int("m", m, 0)
+    _check_int("n", n, 0)
     if (m + n) % 2 == 1:
         return 0.0
     # int / int true division rounds correctly
@@ -285,9 +293,8 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     a polynomial of degree m in s, so N+2 Gauss-Legendre points in s
     integrate every entry exactly and the only error is rounding, about
     1e-14 ||A||_2.  The rule grows with N, so entries shared by two basis
-    sizes agree to that level, not bitwise."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    sizes agree to that level, not bitwise.  N must be an integer >= 1."""
+    _check_int("N", N, 1)
     x, w = np.polynomial.legendre.leggauss(N + 2)
     s = 0.5 * (x + 1.0)
     c = np.sqrt((1.0 - s) * (1.0 + s))
@@ -314,8 +321,11 @@ def _ritz(N: int) -> tuple[np.ndarray, np.ndarray]:
 def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     """Rayleigh-Ritz upper bounds: 1/theta for the descending eigenvalues
     theta of A_N.  Non-increasing in N by min-max over nested subspaces,
-    up to the rounding of assembly and eigensolve (about 1e-14 relative)."""
+    up to the rounding of assembly and eigensolve (about 1e-14 relative).
+    N is an integer >= 1 and count, by default N, one of 0..N."""
+    _check_int("N", N, 1)
     count = N if count is None else count
+    _check_int("count", count, 0)
     if not 0 <= count <= N:
         raise DomainError("count must lie between 0 and the basis size")
     theta = _ritz(N)[0][:count]
@@ -351,9 +361,8 @@ def assemble_intermediate(N: int):
     coupling matrix of T f_n = -g_{n-1} - g_{n+1}; B the N x N Gram matrix,
     :func:`gram_entry` on the index grid 1..N; d = (1, ..., N+1) the exact
     eigenvalues of the Dirichlet-Neumann operator; and the symmetrized
-    S = I - C^T B^{-1} C."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    S = I - C^T B^{-1} C.  N must be an integer >= 1."""
+    _check_int("N", N, 1)
     K = N + 1
     k = np.arange(1, K)
     B = gram_entry(k[:, None], k[None, :])
@@ -368,8 +377,11 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     the positive eigenvalues of the pencil D a = lambda S a together with
     the untouched trivial eigenvalues K+1, K+2, ... (K = N+1), in
     nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
-    Non-decreasing in N."""
+    Non-decreasing in N.  N is an integer >= 1 and count, by default N + 1,
+    one of 0..N+1."""
+    _check_int("N", N, 1)
     count = N + 1 if count is None else count
+    _check_int("count", count, 0)
     if not 0 <= count <= N + 1:
         raise DomainError("count must lie between 0 and N + 1")
     _, _, d, S = assemble_intermediate(N)
@@ -381,7 +393,10 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
 def bracket(n_max: int, N: int) -> list[EigBound]:
     """Certified brackets (lower, upper) for lambda_1 .. lambda_{n_max} at
     basis size N.  Raises :class:`BracketInversion` if any lower bound
-    exceeds its upper bound (which would signal an assembly bug)."""
+    exceeds its upper bound (which would signal an assembly bug).  N and
+    n_max are integers with 1 <= n_max <= N."""
+    _check_int("N", N, 1)
+    _check_int("n_max", n_max, 1)
     if not 1 <= n_max <= N:
         raise DomainError("n_max must lie between 1 and N")
     ups = upper_bounds(N, n_max)
@@ -411,7 +426,9 @@ def rr_eigenfunction(n: int, N: int) -> GridFunction:
     """The n-th Rayleigh-Ritz eigenfunction on the uniform grid of _RR_GRID
     nodes on [-1, 1], as a unit-L2-norm combination of orthonormal Legendre
     polynomials, sign-fixed so its inner product with tilde_phi_n is
-    positive."""
+    positive.  N and n are integers with 1 <= n <= N."""
+    _check_int("N", N, 1)
+    _check_int("n", n, 1)
     if n > N:
         raise DomainError("n must not exceed N")
     _, vec = _ritz(N)

@@ -90,8 +90,7 @@ def test_criterion_6_eigenfunction_property():
     inner = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8, max_subdivisions=8000)
     val = integrate(
-        lambda ys: np.array([heat_kernel(t, x, float(y), inner)
-                             for y in np.atleast_1d(ys)]) * psi(lam, ys),
+        lambda ys: heat_kernel(t, x, np.atleast_1d(ys), inner) * psi(lam, ys),
         (0.0, Y), spec, points=tuple(np.arange(1, 80) * 2 * PI))
     ref = math.exp(-lam * t) * psi(lam, x)
     err = abs(val - ref)

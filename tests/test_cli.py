@@ -31,6 +31,37 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_subcommand_loads_scipy_special_alone():
+    # the package needs scipy for its special functions only: Cholesky,
+    # solve and FFT come from numpy, quadrature from the package itself
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys, cauchyspec.cli\n"
+         "def loaded():\n"
+         "    # the public subpackages, scipy.X with X a package\n"
+         "    return sorted(m[6:] for m, mod in list(sys.modules.items())\n"
+         "                  if m.count('.') == 1 and m.startswith('scipy.')\n"
+         "                  and not m[6:].startswith('_')\n"
+         "                  and hasattr(mod, '__path__'))\n"
+         "seen = [loaded()]\n"
+         "for argv in (['eigs', '--n-max', '3', '--basis', '8'],\n"
+         "             ['eigs', '--n-max', '3', '--basis', '8',\n"
+         "              '--method', 'upper'],\n"
+         "             ['eigs', '--n-max', '3', '--basis', '8',\n"
+         "              '--method', 'lower'],\n"
+         "             ['psi', '--lam', '1', '--xmax', '5'],\n"
+         "             ['heat', '--t', '.5', '--xmin', '.3', '--xmax', '2',\n"
+         "              '--points', '3'],\n"
+         "             ['exit', '--x', '1', '--tmin', '.1', '--tmax', '1'],\n"
+         "             ['validate', '--level', 'quick']):\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        assert cauchyspec.cli.main(argv) == 0, argv\n"
+         "    seen.append(loaded())\n"
+         "print(seen)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == repr([["special"]] * 8)
+
+
 def test_validate_leaves_scipy_integrate_unloaded():
     # the checks take their reference integrals from the package's own
     # quadrature, so validating never pays for importing scipy.integrate

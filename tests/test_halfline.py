@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyspec import (DomainError, GridFunction, McConfig, NonConvergence,
-                        PoleError, QuadratureSpec, b_complex, bracket, eta,
-                        estimate_survival, exit_density, exit_law, f_exit,
-                        green_moment, heat_kernel, heat_kernel_spectral,
-                        heat_kernel_table, integrate, laplace_psi,
-                        lower_bounds, pi_transform, psi, q_cutoff,
-                        refinement_study, remainder, residual_norm, survival,
-                        tilde_phi, tilde_phi_norm2, ti2, upper_bounds)
+                        PoleError, QuadratureSpec, assemble_intermediate,
+                        b_complex, bracket, eta, estimate_survival,
+                        exit_density, exit_law, f_exit, green_moment,
+                        heat_kernel, heat_kernel_spectral, heat_kernel_table,
+                        integrate, laplace_psi, lower_bounds, pi_transform,
+                        psi, q_cutoff, refinement_study, remainder,
+                        residual_norm, rr_eigenfunction, survival, tilde_phi,
+                        tilde_phi_norm2, ti2, upper_bounds)
 from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
                                  _TABLE_PER_DECADE, PSI_SUP,
                                  _laplace_of_weight, _remainder_from_table,
@@ -99,6 +101,23 @@ def test_remainder_table_top_edge_index():
     assert np.all(remainder(xs[:2]) == table[:2])
 
 
+def test_remainder_two_term_expansion_at_large_arguments():
+    # w(t) = c t (1 + (t log t - t)/pi + ...) for small t gives
+    # r(x) x^2/c = 1 - (2/pi)(ln x + 1 - digamma(3))/x + ..., with
+    # digamma(3) = 3/2 - Euler's gamma.  The mass of w below the rule's
+    # first node, 1e-13, used to be missing from x ~ 1e8 on
+    c = SQ2 / (2.0 * math.pi)
+    digamma3 = 1.5 - 0.5772156649015329
+    xs = np.geomspace(1e6, 1e150, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lead = remainder(xs) * xs * xs / c
+        huge = remainder(1e300)          # the true value underflows
+    expect = 1.0 - (2.0 / math.pi) * (np.log(xs) + 1.0 - digamma3) / xs
+    assert np.abs(lead - expect).max() <= 1e-10
+    assert huge == 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_remainder_rejects_non_finite(bad):
     with pytest.raises(DomainError):
@@ -155,11 +174,25 @@ INVALID_CALLS = {
     "estimate_survival(nan,1)": (estimate_survival, NAN, 1.0, McConfig()),
     "refinement_study(nan,1)": (refinement_study, NAN, 1.0, McConfig()),
     "refinement_study(-1,1)": (refinement_study, -1.0, 1.0, McConfig()),
+    "residual_norm(1,True)": (residual_norm, 1, True),
+    "residual_norm(1,2.5)": (residual_norm, 1, 2.5),
+    "residual_norm(1,0)": (residual_norm, 1, 0),
+    "upper_bounds(True)": (upper_bounds, True),
+    "upper_bounds(10.5)": (upper_bounds, 10.5),
     "upper_bounds(5,-1)": (upper_bounds, 5, -1),
+    "lower_bounds(3,True)": (lower_bounds, 3, True),
     "lower_bounds(5,-1)": (lower_bounds, 5, -1),
     "lower_bounds(5,-3)": (lower_bounds, 5, -3),
     "bracket(0,5)": (bracket, 0, 5),
     "bracket(-1,5)": (bracket, -1, 5),
+    "bracket(True,10)": (bracket, True, 10),
+    "bracket(1.5,10)": (bracket, 1.5, 10),
+    "assemble_intermediate(2.0)": (assemble_intermediate, 2.0),
+    "rr_eigenfunction(1.0,10)": (rr_eigenfunction, 1.0, 10),
+    "heat_kernel_spectral(1,1,1,tol=0)": (heat_kernel_spectral, 1.0, 1.0,
+                                          1.0, 0.0),
+    "heat_kernel_spectral(1,1,1,tol=inf)": (heat_kernel_spectral, 1.0, 1.0,
+                                            1.0, INF),
     "green_moment(1.5,0.5)": (green_moment, 1.5, 0.5),
     "green_moment(True,1)": (green_moment, True, 1),
     "green_moment(0,False)": (green_moment, 0, False),
@@ -332,3 +365,10 @@ def test_heat_kernel_spectral_uses_psi_unchanged():
 
     for t, x, y in ((1.0, 0.6, 1.4), (0.5, 2.0, 0.3), (2.0, 1.0, 1.0)):
         assert heat_kernel_spectral(t, x, y) == inline(t, x, y)
+
+
+def test_heat_kernel_spectral_loose_tolerance_gives_positive_zero():
+    # at tol = 2 the truncation point log(...)/t is negative: the whole
+    # expansion is below tol/2, and the reversed integral gave -0.0
+    val = heat_kernel_spectral(1.0, 1.0, 1.0, tol=2.0)
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
