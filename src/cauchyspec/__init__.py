@@ -1,7 +1,8 @@
 """Spectral toolkit for the one-dimensional Cauchy process killed outside a
 domain: generalized eigenfunctions, heat kernel and exit-time law on the
 half-line (0, inf), and certified two-sided eigenvalue brackets with
-eigenfunction approximations on the interval (-1, 1).
+eigenfunction approximations on the interval (-1, 1).  Invalid arguments
+raise DomainError, a ValueError, by the input rules of :mod:`.errors`.
 """
 
 __version__ = "0.1.0"

@@ -21,14 +21,14 @@ import numpy as np
 from .halfline import (heat_kernel, heat_kernel_spectral, laplace_psi,
                        pi_transform, psi, remainder, remainder_weight,
                        survival)
-from .interval import (bracket, gram_entry, green_moment, q_cutoff,
-                       reference_excess)
+from .interval import (bracket, gram_entry, green_moment, mu_asymptotic,
+                       q_cutoff, reference_excess)
 from .montecarlo import McConfig, refinement_study
 from .quadrature import GridFunction, QuadratureSpec, integrate
 from .specialfun import CATALAN, b_complex, eta
 
-__all__ = ["Check", "CHECKS", "run_checks", "spectral_rel_error", "bump",
-           "bump_transform"]
+__all__ = ["Check", "CHECKS", "run_checks", "spectral_rel_error",
+           "residual_bound", "bump", "bump_transform"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,12 @@ def spectral_rel_error(t: float, x: float, y: float) -> float:
     closed form of the killed heat kernel at (t, x, y)."""
     hc = heat_kernel(t, x, y)
     return abs(heat_kernel_spectral(t, x, y, tol=1e-8) - hc) / hc
+
+
+def residual_bound(n: int) -> float:
+    """Criterion 10's bound on the generator residual of tilde_phi_n."""
+    mu = mu_asymptotic(n)
+    return math.sqrt(1.21 + 8.00 / mu + 13.66 / mu**2) / mu
 
 
 def bump(lam):

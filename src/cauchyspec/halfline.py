@@ -33,9 +33,10 @@ scalar :func:`heat_kernel`, of a 1-D y for an array call and of every cell
 for :func:`heat_kernel_table`, whose square tables (xs equal to ys) hold
 the cells on and above the diagonal alone and mirror them.
 
-Results are plain floats and arrays: psi and r at a point come from
-:func:`psi` and :func:`remainder`, a heat-kernel table is a
-(len(xs), len(ys)) array and the exit law a (density, survival) pair.
+Arguments are checked by the input rules of :mod:`.errors`.  Results are
+plain floats and arrays: psi and r at a point come from :func:`psi` and
+:func:`remainder`, a heat-kernel table is a (len(xs), len(ys)) array and
+the exit law a (density, survival) pair.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, gammainc
 
-from .errors import DomainError, GridTooCoarse, PoleError
+from .errors import (DomainError, GridTooCoarse, PoleError, _finite,
+                     _increasing, _positive, _scalar_or_array)
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
                          integrate_many)
-from .specialfun import _eta_pos, _finite, b_complex, eta, ti2
+from .specialfun import _eta_pos, _split_big, b_complex, eta, ti2
 
 __all__ = [
     "remainder", "psi", "laplace_psi", "f_exit", "exit_density", "survival",
@@ -78,7 +80,7 @@ def remainder_weight(t, form: str = "eta"):
         out[p] = (_SQ2_2PI * tp ** (1.0 + np.arctan(tp) / _PI)
                   * (1.0 + tp * tp) ** -1.25 * np.exp(-ti2(tp) / _PI))
     else:
-        raise ValueError(f"unknown weight form {form!r}")
+        raise DomainError(f"unknown weight form {form!r}")
     return out
 
 
@@ -195,13 +197,6 @@ def _remainder_from_table(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_positive(names: str, *values) -> None:
-    """DomainError unless every value, a float or every entry of an array,
-    is positive and finite (NaN is not)."""
-    if not all(np.all((v > 0.0) & (v < math.inf)) for v in values):
-        raise DomainError(f"{names} must be positive and finite")
-
-
 def remainder(x):
     """The remainder r(x) = int_0^inf w(t) e^{-tx} dt for finite x >= 0
     (scalar or array).  r(0) = sin(pi/8) exactly; r is totally monotone and
@@ -214,28 +209,29 @@ def remainder(x):
     tail, which keep it accurate down to x = 0+ and out to where r
     underflows to 0.0, with no overflow on the way.
     NaN and +-inf raise DomainError."""
-    x = _finite("remainder", x, low=0.0)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    return _scalar_or_array(_remainder, _finite("remainder", x, low=0.0))
+
+
+def _remainder(x: np.ndarray) -> np.ndarray:
+    """r on a float array of finite x >= 0, unchecked."""
     table = (x > _TABLE_LO) & (x < _TABLE_HI)
     if table.all():
-        out = _remainder_from_table(x)
-    else:
-        out = np.empty_like(x)
-        out[table] = _remainder_from_table(x[table])
-        zero = x == 0.0
-        out[zero] = _SIN_PI8
-        rule = ~(table | zero)
-        if rule.any():
-            out[rule] = _laplace_of_weight(x[rule])
-    return float(out[0]) if scalar else out
+        return _remainder_from_table(x)
+    out = np.empty_like(x)
+    out[table] = _remainder_from_table(x[table])
+    zero = x == 0.0
+    out[zero] = _SIN_PI8
+    rule = ~(table | zero)
+    if rule.any():
+        out[rule] = _laplace_of_weight(x[rule])
+    return out
 
 
 def _psi_with_remainder(lam: float, x):
-    """psi(lam, x) and r(lam x) as two 1-D arrays, psi 0 where x <= 0 and r
-    0 where x < 0, with r evaluated once per point.  lam must be positive
-    and every x finite."""
-    _check_positive("lam", lam)
+    """psi(lam, x) and r(lam x) as two arrays, psi 0 where x <= 0 and r 0
+    where x < 0, with r evaluated once per point.  lam must be positive and
+    every x finite."""
+    _positive("lam", lam)
     x = np.atleast_1d(_finite("psi", x))
     vals, rem = np.zeros_like(x), np.zeros_like(x)
     rem[x >= 0] = remainder(lam * x[x >= 0])
@@ -248,18 +244,16 @@ def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
     for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
     lam must be positive and every x finite."""
-    vals, _ = _psi_with_remainder(lam, x)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    return _scalar_or_array(lambda xs: _psi_with_remainder(lam, xs)[0], x)
 
 
 def laplace_psi(lam: float, z: complex) -> complex:
     """Laplace transform of psi(lam, .):
     (sqrt(2)/2) * lam * e^{b(z/lam)} / (lam^2 + z^2)  for finite z with
     Re z > 0."""
-    _check_positive("lam", lam)
     z = complex(z)
-    if not (0.0 < z.real < math.inf and math.isfinite(z.imag)):
-        raise DomainError("laplace_psi requires finite z with Re z > 0")
+    _positive("lam and Re z", lam, z.real)
+    _finite("laplace_psi", z.imag)
     if abs(z - 1j * lam) < 1e-14 * lam or abs(z + 1j * lam) < 1e-14 * lam:
         raise PoleError("z coincides with a pole at +-i lam")
     return complex((math.sqrt(2.0) / 2.0) * lam * np.exp(b_complex(z / lam))
@@ -269,18 +263,20 @@ def laplace_psi(lam: float, z: complex) -> complex:
 def f_exit(s):
     """Exit kernel f(s) = (1/pi) s/(1+s^2) e^{eta(s)} for s >= 0 (vanishes
     at 0, positive and bounded).  Equals s^{1-arctan(s)/pi} (1+s^2)^{-3/4}
-    e^{Ti2(s)/pi} / pi.  NaN and +-inf raise DomainError."""
-    s = _finite("f_exit", s, low=0.0)
-    out = _f(np.atleast_1d(s))
-    return float(out[0]) if s.ndim == 0 else out
+    e^{Ti2(s)/pi} / pi, finite at every finite s.  NaN, +inf and s < 0
+    raise DomainError."""
+    return _scalar_or_array(_f, _finite("f_exit", s, low=0.0))
 
 
 def _f(s: np.ndarray) -> np.ndarray:
-    """The exit kernel f on a float array of finite s >= 0, unchecked."""
+    """The exit kernel f on a float array of finite s >= 0, unchecked; far
+    out, where s*s overflows, s/(pi (1+s^2)) is (1/pi)/s."""
     out = np.zeros_like(s)
     p = s > 0
     sp = s[p]
-    out[p] = sp / (_PI * (1.0 + sp * sp)) * np.exp(_eta_pos(sp))
+    w = _split_big(sp, lambda b: 1.0 / _PI / b,
+                   lambda b: b / (_PI * (1.0 + b * b)))
+    out[p] = w * np.exp(_eta_pos(sp))
     return out
 
 
@@ -297,14 +293,8 @@ def exit_density(x: float, t):
     """Density of the first exit time from (0, inf) started at x:
     f(t/x)/t.  Scales as density(x, t) = density(1, t/x)/x.  x and every t
     must be positive and finite."""
-    _check_positive("x", x)
-    t = _finite("exit_density", t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(t <= 0):
-        raise DomainError("t must be positive")
-    out = _f_over_s(t, x)
-    return float(out[0]) if scalar else out
+    _positive("x and t", x, t)
+    return _scalar_or_array(lambda s: _f_over_s(s, x), t)
 
 
 def _exit_masses(x: float, ts, tol: float) -> np.ndarray:
@@ -326,7 +316,7 @@ def survival(x: float, t: float) -> float:
     1 - int_0^t f(s/x)/s ds, integrated to 1e-12.  Decreasing in t, between
     0 and 1, and at least (2/pi) arctan(x/t); x and t must be positive and
     finite."""
-    _check_positive("x, t", x, t)
+    _positive("x and t", x, t)
     return 1.0 - float(_exit_masses(x, [t], 1e-12)[0])
 
 
@@ -337,17 +327,18 @@ _HEAT_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 def _heat_kernels(t: float, x: np.ndarray, y: np.ndarray,
                   spec: QuadratureSpec) -> np.ndarray:
     """p^D_t(x_i, y_i) for paired 1-D arrays x and y of positive, finite
-    points, with the correction integrals of all pairs run as one
-    :func:`integrate_many` batch; unchecked.  Each value is bit for bit the
-    one its integral gives alone."""
+    points, the correction integrals of all pairs run as one
+    :func:`integrate_many` batch, each value bit for bit the one its
+    integral gives alone; unchecked.  The integrand f(s/x) f((t-s)/y) /
+    (s y + (t-s) x) carries the factor 1/(x y), so the tolerance applies
+    to the kernel value itself however close to the boundary x and y are."""
     def integrand(s, rows):
-        a = s / x[rows, None]
-        b = (t - s) / y[rows, None]
-        fab = _f(np.abs(np.concatenate((a, b))))
-        return fab[:len(a)] * fab[len(a):] / (a + b)
+        xr, yr = x[rows, None], y[rows, None]
+        fab = _f(np.abs(np.concatenate((s / xr, (t - s) / yr))))
+        return fab[:len(s)] * fab[len(s):] / (s * yr + (t - s) * xr)
 
     corr = integrate_many(integrand, [(0.0, t)] * x.size, spec)
-    return t / (_PI * (t * t + (x - y) ** 2)) - corr / (x * y)
+    return t / (_PI * (t * t + (x - y) ** 2)) - corr
 
 
 def heat_kernel(t: float, x: float, y, spec: QuadratureSpec | None = None):
@@ -363,13 +354,11 @@ def heat_kernel(t: float, x: float, y, spec: QuadratureSpec | None = None):
     the scalar call's.  t, x and every y must be positive and finite; they
     are checked before any integral runs.
     """
-    ys = np.asarray(y, dtype=float)
-    if ys.ndim > 1:
+    if np.ndim(y) > 1:
         raise DomainError("y must be a scalar or a 1-D array")
-    _check_positive("t, x and y", t, x, ys)
-    out = _heat_kernels(float(t), np.full(ys.size, float(x)),
-                        np.atleast_1d(ys), spec or _HEAT_SPEC)
-    return float(out[0]) if ys.ndim == 0 else out
+    _positive("t, x and y", t, x, y)
+    return _scalar_or_array(lambda ys: _heat_kernels(
+        float(t), np.full(ys.size, float(x)), ys, spec or _HEAT_SPEC), y)
 
 
 def heat_kernel_spectral(t: float, x: float, y: float,
@@ -381,13 +370,14 @@ def heat_kernel_spectral(t: float, x: float, y: float,
     (2/pi) PSI_SUP^2 e^{-L t}/t falls below tol/2; agreement with the
     closed form is limited only by the quadrature tolerance.  When that L is
     not positive the whole expansion is below tol/2 and the value is 0.0.
-    t and tol must be positive and finite, x and y finite.
+    t and tol must be positive and finite, x and y finite, and L finite.
     """
-    _check_positive("t and tol", t, tol)
+    _positive("t and tol", t, tol)
     _finite("heat_kernel_spectral", (x, y))
     if x <= 0 or y <= 0:
         return 0.0                      # psi vanishes off the half-line
     lam_max = math.log(2.0 * PSI_SUP**2 / (_PI * t * 0.5 * tol)) / t
+    _finite("the truncation point L", lam_max)
     if lam_max <= 0.0:
         return 0.0
     spec = QuadratureSpec(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
@@ -416,12 +406,9 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     than a strictly increasing 1-D array of at least two finite, positive
     points raise :class:`DomainError`.
     """
-    out = np.asarray(f.nodes if out_nodes is None else out_nodes, dtype=float)
-    if out.ndim != 1 or out.size < 2 or not np.all(np.diff(out) > 0):
-        raise DomainError("output nodes must be a strictly increasing 1-D "
-                          "array of at least two points")
-    if not np.all((out > 0) & (out < math.inf)):      # False for NaN too
-        raise DomainError("output nodes must be positive and finite")
+    out = _increasing("output nodes",
+                      f.nodes if out_nodes is None else out_nodes, 2)
+    _positive("output nodes", out)
     lam_max = min(float(f.nodes.max()), float(out.max()))
     if f.spacing() > _PI / (8.0 * lam_max) + 1e-15:
         raise GridTooCoarse(
@@ -445,11 +432,10 @@ def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     pairs i <= j alone and the lower triangle is their mirror image, since
     p_t(x, y) = p_t(y, x); the table is then exactly symmetric.  t and every
     point are checked before any integral runs."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
         raise DomainError("xs and ys must be non-empty 1-D arrays")
-    _check_positive("t, xs and ys", t, xs, ys)
+    _positive("t, xs and ys", t, xs, ys)
     t = float(t)
     if np.array_equal(xs, ys):
         i, j = np.triu_indices(xs.size)
@@ -465,10 +451,6 @@ def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     increasing 1-D time grid.  Survival is 1 minus the running sum of the
     exit-density masses between consecutive times, each integrated to
     1e-10, so the two columns are consistent by construction."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DomainError("ts must be a non-empty 1-D array")
-    if np.any(ts <= 0) or not np.all(np.diff(ts) > 0):
-        raise DomainError("ts must be positive and increasing")
-    dens = exit_density(x, ts)
+    ts = _increasing("ts", ts, 1)
+    dens = exit_density(x, ts)        # checks that x and ts are positive
     return dens, 1.0 - np.cumsum(_exit_masses(x, ts.tolist(), 1e-10))

@@ -38,18 +38,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import comb
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 from scipy.special import legendre_p_all
 
-from .errors import BracketInversion, CauchySpecError, DomainError
+from .errors import (BracketInversion, CauchySpecError, DomainError,
+                     _finite, _integer, _scalar_or_array)
 from .halfline import psi
 from .linalg import generalized_sym_eig, solve_spd, sym_eig
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
                          integrate_many)
-from .specialfun import _finite
 
 __all__ = [
     "EigBound", "REFERENCE_BRACKETS", "mu_asymptotic", "q_cutoff",
@@ -74,13 +73,6 @@ REFERENCE_BRACKETS = {
     9: (13.74410905939799, 13.74410905944402),
     10: (15.31555499602690, 15.31555499608382),
 }
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """DomainError unless value is an integer >= low (a bool is not one)."""
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or value < low):
-        raise DomainError(f"{name} must be an integer >= {low}")
 
 
 def reference_excess(n: int, lower: float | None,
@@ -127,13 +119,11 @@ def q_cutoff(x):
     """Piecewise-quadratic C^1 ramp: 0 below -1/3, 1 above 1/3, and
     9/2 (x+1/3)^2 resp. 1 - 9/2 (x-1/3)^2 in between; q(x) + q(-x) = 1.
     NaN and +-inf raise DomainError."""
-    x = _finite("q_cutoff", x)
-    out = _q(np.atleast_1d(x))
-    return float(out[0]) if x.ndim == 0 else out
+    return _scalar_or_array(_q, _finite("q_cutoff", x))
 
 
 def _q(x: np.ndarray) -> np.ndarray:
-    """The ramp of :func:`q_cutoff` on a 1-D array already known finite."""
+    """The ramp of :func:`q_cutoff` on an array already known finite."""
     return np.where(
         x <= -1.0 / 3.0, 0.0,
         np.where(x < 0.0, 4.5 * (x + 1.0 / 3.0) ** 2,
@@ -151,20 +141,19 @@ def tilde_phi(n: int, x):
         q(-x) psi(mu_n, 1+x) + (-1)^{n+1} q(x) psi(mu_n, 1-x)
 
     (sign + for odd n, - for even), supported on (-1, 1), symmetric for odd
-    n and antisymmetric for even n.  n other than an integer >= 1 (a bool is
-    not one) and an x of NaN or +-inf raise DomainError."""
-    _check_int("n", n, 1)
-    mu = mu_asymptotic(n)
-    sgn = 1.0 if n % 2 == 1 else -1.0
-    x = _finite("tilde_phi", x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    inside = (x > -1.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = (_q(-xi) * psi(mu, 1.0 + xi)
-                   + sgn * _q(xi) * psi(mu, 1.0 - xi))
-    return float(out[0]) if scalar else out
+    n and antisymmetric for even n.  n is an integer >= 1 and x finite."""
+    _integer("n", n, 1)
+    mu, sgn = mu_asymptotic(n), (1.0 if n % 2 == 1 else -1.0)
+
+    def glued(x):
+        out = np.zeros_like(x)
+        inside = (x > -1.0) & (x < 1.0)
+        xi = x[inside]
+        out[inside] = (_q(-xi) * psi(mu, 1.0 + xi)
+                       + sgn * _q(xi) * psi(mu, 1.0 - xi))
+        return out
+
+    return _scalar_or_array(glued, _finite("tilde_phi", x))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +221,8 @@ def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     by Gauss quadrature on each smooth piece; the generator runs once, on
     the nodes of all pieces together.  n as in :func:`tilde_phi`, and
     nodes_per_piece an integer >= 1."""
-    _check_int("n", n, 1)
-    _check_int("nodes_per_piece", nodes_per_piece, 1)
+    _integer("n", n, 1)
+    _integer("nodes_per_piece", nodes_per_piece, 1)
     mu = mu_asymptotic(n)
     g = lambda x: tilde_phi(n, x)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
@@ -242,10 +231,7 @@ def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     zs = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gx
     ws = 0.5 * (hi - lo)[:, None] * gw
     resid = generator_apply(g, zs, spec=spec) + mu * g(zs)
-    total = 0.0
-    for r, w in zip(resid, ws):
-        total += float((r * r * w).sum())
-    return math.sqrt(total)
+    return math.sqrt(sum(float((r * r * w).sum()) for r, w in zip(resid, ws)))
 
 
 def tilde_phi_norm2(n: int) -> float:
@@ -267,10 +253,9 @@ def green_moment(m: int, n: int) -> float:
     """Moment of the interval Green operator against monomials:
     int int x^m G(x,y) y^n dx dy = pi beta_m beta_n / (2^{m+n} (m+n+2))
     for m + n even, 0 otherwise.  Symmetric and positive when nonzero.
-    m or n other than an integer >= 0 (a bool is not one) raises
-    DomainError."""
-    _check_int("m", m, 0)
-    _check_int("n", n, 0)
+    m and n are integers >= 0."""
+    _integer("m", m, 0)
+    _integer("n", n, 0)
     if (m + n) % 2 == 1:
         return 0.0
     # int / int true division rounds correctly
@@ -294,7 +279,7 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     integrate every entry exactly and the only error is rounding, about
     1e-14 ||A||_2.  The rule grows with N, so entries shared by two basis
     sizes agree to that level, not bitwise.  N must be an integer >= 1."""
-    _check_int("N", N, 1)
+    _integer("N", N, 1)
     x, w = np.polynomial.legendre.leggauss(N + 2)
     s = 0.5 * (x + 1.0)
     c = np.sqrt((1.0 - s) * (1.0 + s))
@@ -323,11 +308,9 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     theta of A_N.  Non-increasing in N by min-max over nested subspaces,
     up to the rounding of assembly and eigensolve (about 1e-14 relative).
     N is an integer >= 1 and count, by default N, one of 0..N."""
-    _check_int("N", N, 1)
+    _integer("N", N, 1)
     count = N if count is None else count
-    _check_int("count", count, 0)
-    if not 0 <= count <= N:
-        raise DomainError("count must lie between 0 and the basis size")
+    _integer("count", count, 0, N)
     theta = _ritz(N)[0][:count]
     if np.any(theta <= 0):
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
@@ -362,7 +345,7 @@ def assemble_intermediate(N: int):
     :func:`gram_entry` on the index grid 1..N; d = (1, ..., N+1) the exact
     eigenvalues of the Dirichlet-Neumann operator; and the symmetrized
     S = I - C^T B^{-1} C.  N must be an integer >= 1."""
-    _check_int("N", N, 1)
+    _integer("N", N, 1)
     K = N + 1
     k = np.arange(1, K)
     B = gram_entry(k[:, None], k[None, :])
@@ -379,11 +362,9 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
     Non-decreasing in N.  N is an integer >= 1 and count, by default N + 1,
     one of 0..N+1."""
-    _check_int("N", N, 1)
+    _integer("N", N, 1)
     count = N + 1 if count is None else count
-    _check_int("count", count, 0)
-    if not 0 <= count <= N + 1:
-        raise DomainError("count must lie between 0 and N + 1")
+    _integer("count", count, 0, N + 1)
     _, _, d, S = assemble_intermediate(N)
     lam = generalized_sym_eig(S, d)
     trivial = np.arange(N + 2.0, N + 2.0 + count)
@@ -395,10 +376,8 @@ def bracket(n_max: int, N: int) -> list[EigBound]:
     basis size N.  Raises :class:`BracketInversion` if any lower bound
     exceeds its upper bound (which would signal an assembly bug).  N and
     n_max are integers with 1 <= n_max <= N."""
-    _check_int("N", N, 1)
-    _check_int("n_max", n_max, 1)
-    if not 1 <= n_max <= N:
-        raise DomainError("n_max must lie between 1 and N")
+    _integer("N", N, 1)
+    _integer("n_max", n_max, 1, N)
     ups = upper_bounds(N, n_max)
     los = lower_bounds(N, n_max)
     out = []
@@ -427,10 +406,8 @@ def rr_eigenfunction(n: int, N: int) -> GridFunction:
     nodes on [-1, 1], as a unit-L2-norm combination of orthonormal Legendre
     polynomials, sign-fixed so its inner product with tilde_phi_n is
     positive.  N and n are integers with 1 <= n <= N."""
-    _check_int("N", N, 1)
-    _check_int("n", n, 1)
-    if n > N:
-        raise DomainError("n must not exceed N")
+    _integer("N", N, 1)
+    _integer("n", n, 1, N)
     _, vec = _ritz(N)
     coeff = vec[:, n - 1]
     xs = np.linspace(-1.0, 1.0, _RR_GRID)

@@ -15,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from .errors import DegeneratePencil, NonConvergence, NotPositiveDefinite
+from .errors import (DegeneratePencil, DomainError, NonConvergence,
+                     NotPositiveDefinite, _finite, _positive)
 
 __all__ = ["sym_eig", "solve_spd", "generalized_sym_eig"]
 
@@ -28,12 +29,10 @@ DEGENERACY_THRESHOLD = 1e-12
 
 def _symmetric(M) -> np.ndarray:
     """A float copy of M with the lower triangle mirrored into the upper;
-    ValueError unless M is square, 2-D and finite."""
-    a = np.array(M, dtype=float)
+    DomainError unless M is square, 2-D and finite."""
+    a = _finite("matrix", M).copy()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square 2-D array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
+        raise DomainError("need a square 2-D array")
     i, j = np.triu_indices(a.shape[0], 1)
     a[i, j] = a[j, i]
     return a
@@ -89,9 +88,8 @@ def generalized_sym_eig(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     s = _symmetric(S)
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.shape[0] != s.shape[0]:
-        raise ValueError("diagonal length must match the matrix order")
-    if np.any(d <= 0):
-        raise ValueError("diagonal entries must be positive")
+        raise DomainError("diagonal length must match the matrix order")
+    _positive("diagonal entries", d)
     dh = 1.0 / np.sqrt(d)
     m = dh[:, None] * s * dh[None, :]
     theta, _ = sym_eig(m)

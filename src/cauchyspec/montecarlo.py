@@ -23,7 +23,6 @@ block length, the number of workers or the order of execution.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import _check_positive
+from .errors import DomainError, _integer, _positive
 
 __all__ = ["McConfig", "McEstimate", "sample_cauchy_increments",
            "estimate_survival", "refinement_study"]
@@ -52,17 +51,11 @@ class McConfig:
     seed: int = 20270405
 
     def __post_init__(self):
-        # bool is an Integral, but True paths or seed is a mistake
-        for name in ("paths", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0 < self.dt <= self.horizon < math.inf:
-            raise ValueError("need 0 < dt <= horizon < inf")
+        _integer("paths", self.paths, 1)
+        _integer("seed", self.seed, 0)
+        _positive("dt and horizon", self.dt, self.horizon)
+        if self.dt > self.horizon:
+            raise DomainError("dt must not exceed horizon")
 
 
 @dataclass(frozen=True)
@@ -86,8 +79,7 @@ def sample_cauchy_increments(scale: float, rng: np.random.Generator,
                              size=None) -> np.ndarray:
     """Cauchy increments with the density scale/(pi (scale^2 + x^2)),
     via inverse CDF."""
-    if not 0 < scale < math.inf:              # False for NaN too
-        raise ValueError("scale must be positive and finite")
+    _positive("scale", scale)
     return _cauchy(np.asarray(rng.random(size)), scale)[()]
 
 
@@ -144,9 +136,9 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     every worker is joined before the call returns or raises."""
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
-        raise ValueError("t must be a multiple of dt")
+        raise DomainError("t must be a multiple of dt")
     if any(nsteps % s for s in strides):
-        raise ValueError("every stride must divide the step count")
+        raise DomainError("every stride must divide the step count")
     base, extra = divmod(cfg.paths, _N_BATCHES)
     children = np.random.SeedSequence(cfg.seed).spawn(_N_BATCHES)
     batches = [(np.random.default_rng(child), base + (b < extra))
@@ -178,18 +170,17 @@ def refinement_study(x: float, t: float, cfg: McConfig,
     returned estimates are non-increasing as the step shrinks, converging
     from above toward the closed-form survival.  ``factors`` must be a
     non-empty sequence of positive integers (a bool is not one) and t at
-    most ``cfg.horizon`` (ValueError otherwise), and x and t positive and
-    finite (DomainError otherwise), all checked before any path is drawn.
+    most ``cfg.horizon``, and x and t positive and finite, all checked
+    before any path is drawn (DomainError otherwise).
     """
     factors = tuple(factors)
     if not factors:
-        raise ValueError("factors must not be empty")
-    if not all(not isinstance(f, bool) and isinstance(f, numbers.Integral)
-               and f > 0 for f in factors):
-        raise ValueError("every factor must be a positive integer")
-    _check_positive("x and t", x, t)
+        raise DomainError("factors must not be empty")
+    for f in factors:
+        _integer("every factor", f, 1)
+    _positive("x and t", x, t)
     if t > cfg.horizon:
-        raise ValueError("t must not exceed cfg.horizon")
+        raise DomainError("t must not exceed cfg.horizon")
     used = cfg.paths
     out = []
     for f, c in zip(factors, _survive_batches(x, t, cfg, strides=factors)):

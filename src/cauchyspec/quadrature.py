@@ -33,7 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import (DomainError, NonConvergence, _finite, _increasing,
+                     _integer, _positive)
 
 __all__ = [
     "QuadratureSpec",
@@ -82,7 +83,8 @@ _WGFULL[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])        # embedded G7
 class QuadratureSpec:
     """Tolerance and budget for one adaptive integration.
 
-    ``max_subdivisions`` caps the number of panel bisections.
+    ``max_subdivisions`` caps the number of panel bisections; tolerances
+    are positive and finite, and the budget an integer >= 1.
     """
 
     abs_tol: float = 1e-12
@@ -90,10 +92,8 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):   # False for NaN
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        _positive("tolerances", self.abs_tol, self.rel_tol)
+        _integer("max_subdivisions", self.max_subdivisions, 1)
 
 
 @dataclass
@@ -103,8 +103,8 @@ class GridFunction:
     ``weights`` are quadrature weights for the node set (trapezoid by
     default), so that ``(values * weights).sum()`` approximates the integral
     and :meth:`norm2` the L2 norm.  Arrays of unequal shape, fewer than two
-    nodes or nodes not strictly increasing raise ``ValueError``; a NaN or
-    +-inf node, value or weight raises :class:`DomainError`.
+    nodes, nodes not strictly increasing and a NaN or +-inf node, value or
+    weight raise :class:`DomainError`.
     """
 
     nodes: np.ndarray
@@ -112,32 +112,22 @@ class GridFunction:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.nodes = _increasing("grid nodes", self.nodes, 2)
+        self.values = _finite("grid values", self.values)
+        self.weights = _finite("grid weights", self.weights)
         if not (self.nodes.shape == self.values.shape == self.weights.shape):
-            raise ValueError("nodes, values and weights must have equal length")
-        if self.nodes.ndim != 1 or self.nodes.size < 2:
-            raise ValueError("need at least two grid nodes")
-        if not all(np.isfinite(a).all()
-                   for a in (self.nodes, self.values, self.weights)):
-            raise DomainError("nodes, values and weights must be finite")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise DomainError("nodes, values and weights must have equal length")
 
     @classmethod
     def from_samples(cls, nodes: np.ndarray, values: np.ndarray) -> "GridFunction":
         """Build with trapezoid weights for the given node set."""
         nodes = np.asarray(nodes, dtype=float)
-        w = np.zeros_like(nodes)
-        d = np.diff(nodes)
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-        return cls(nodes, np.asarray(values, dtype=float), w)
+        h = 0.5 * np.diff(nodes)
+        return cls(nodes, values, np.append(h, 0.0) + np.insert(h, 0, 0.0))
 
     def inner(self, other: "GridFunction") -> float:
         if self.nodes.shape != other.nodes.shape or not np.allclose(self.nodes, other.nodes):
-            raise ValueError("grid functions live on different grids")
+            raise DomainError("grid functions live on different grids")
         return float((self.values * other.values * self.weights).sum())
 
     def norm2(self) -> float:
@@ -154,12 +144,10 @@ def _setup(domain: tuple[float, float], points: Sequence[float]):
     interval; the breakpoints are in the engine's variable, and empty for an
     empty interval."""
     a, b = domain
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("integration limits must not be NaN")
-    if math.isinf(a) and math.isinf(b):
-        raise ValueError("doubly infinite domains are not supported")
-    if a == -_INF or b == -_INF:
-        raise DomainError("a limit of -inf is not supported")
+    if math.isnan(a) or math.isnan(b) or -_INF in (a, b):
+        raise DomainError("integration limits must be finite or +inf")
+    if a == b == _INF:
+        raise DomainError("doubly infinite domains are not supported")
     flip = a > b
     if flip:
         a, b = b, a
@@ -283,7 +271,7 @@ def integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     points = list(points) or [()] * len(domains)
     if len(points) != len(domains):
-        raise ValueError("points needs one breakpoint tuple per domain")
+        raise DomainError("points needs one breakpoint tuple per domain")
     setups = [_setup(d, p) for d, p in zip(domains, points)]
     vals = _adaptive(f, setups, spec or QuadratureSpec())
     return np.array([-v if flip else v for v, (flip, _, _) in zip(vals, setups)])
@@ -307,8 +295,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
 
     Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``
     attached) if the budget of subdivisions is exhausted first or the
-    estimate turns NaN, :class:`DomainError` for a NaN limit or a limit of
-    -inf, and ``ValueError`` for a doubly infinite domain.
+    estimate turns NaN, and :class:`DomainError` for a NaN limit, a limit
+    of -inf or a doubly infinite domain.
     """
     flip, shift, brk = _setup(domain, points)
 

@@ -14,7 +14,8 @@ together with the holomorphic function
 whose boundary values on the real axis are eta(t) + i*arctan(max(-t,0)).
 Ti2 is read off scipy's complex dilogarithm, Li2(w) = spence(1 - w)
 (Lewin, Polylogarithms and Associated Functions, 1981), and eta is closed
-form in it.  All real-argument functions accept scalars or numpy arrays.
+form in it.  All real-argument functions accept scalars or numpy arrays,
+checked by the input rules of :mod:`.errors`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 from scipy.special import spence
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _scalar_or_array
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = ["CATALAN", "ti2", "eta", "b_complex"]
@@ -36,27 +37,11 @@ CATALAN = 0.915965594177219015054603514932
 _PI = math.pi
 
 
-def _finite(name: str, x, low: float | None = None) -> np.ndarray:
-    """``x`` as a float array, or DomainError unless every entry is finite
-    (and at least ``low``, if given)."""
-    x = np.asarray(x, dtype=float)
-    ok = np.isfinite(x)
-    if low is not None:
-        ok &= x >= low
-    if not ok.all():
-        raise DomainError(f"{name} requires finite arguments"
-                          + ("" if low is None else f" >= {low:g}"))
-    return x
-
-
 def ti2(t):
-    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du for t >= 0,
-    evaluated as Im Li2(i t) with the dilogarithm Li2(w) = spence(1 - w)."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):                 # False for NaN too
-        raise DomainError("ti2 requires t >= 0")
-    out = _ti2(t)
-    return float(out) if t.ndim == 0 else out
+    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du for finite
+    t >= 0, evaluated as Im Li2(i t) with the dilogarithm
+    Li2(w) = spence(1 - w).  NaN, +inf and t < 0 raise DomainError."""
+    return _scalar_or_array(_ti2, _finite("ti2", t, low=0.0))
 
 
 def _ti2(t: np.ndarray) -> np.ndarray:
@@ -64,27 +49,47 @@ def _ti2(t: np.ndarray) -> np.ndarray:
     return spence(1.0 - 1j * t).imag
 
 
+#: beyond this, 1 + a^2 is a^2 to the last bit, and a*a soon overflows
+_BIG = 1e150
+
+
+def _split_big(a: np.ndarray, big_fn, fn) -> np.ndarray:
+    """fn(a), with big_fn run instead on the entries above _BIG alone."""
+    big = a > _BIG
+    if not big.any():
+        return fn(a)
+    out = np.empty_like(a)
+    out[big], out[~big] = big_fn(a[big]), fn(a[~big])
+    return out
+
+
+def _log1p_sq(a: np.ndarray) -> np.ndarray:
+    """log(1 + a^2) on a float array of finite a, 2 log a beyond _BIG."""
+    return _split_big(a, lambda b: 2.0 * np.log(b), lambda b: np.log1p(b * b))
+
+
 def _eta_pos(a: np.ndarray) -> np.ndarray:
     """eta on a float array of finite a > 0, unchecked."""
-    return 0.25 * np.log1p(a * a) - (np.arctan(a) * np.log(a) - _ti2(a)) / _PI
+    return 0.25 * _log1p_sq(a) - (np.arctan(a) * np.log(a) - _ti2(a)) / _PI
 
 
 def eta(t):
     """eta(t) = log(1+t^2)/4 - (1/pi) int_0^t log|s|/(1+s^2) ds, any real t.
 
     For t > 0 the integral has the closed form arctan(t) log t - Ti2(t);
-    negative arguments use eta(-t) = -eta(t) + log sqrt(1+t^2).  NaN and
-    +-inf raise DomainError.
+    negative arguments use eta(-t) = -eta(t) + log sqrt(1+t^2).  Finite
+    at every finite t; NaN and +-inf raise DomainError.
     """
-    t = _finite("eta", t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    return _scalar_or_array(_eta, _finite("eta", t))
+
+
+def _eta(t: np.ndarray) -> np.ndarray:
+    """eta on a float array of finite t, unchecked."""
     a = np.abs(t)
     res = np.zeros_like(a)
     pos = a > 0
     res[pos] = _eta_pos(a[pos])
-    res = np.where(t < 0, -res + 0.5 * np.log1p(a * a), res)
-    return float(res[0]) if scalar else res
+    return np.where(t < 0, 0.5 * _log1p_sq(a) - res, res)
 
 
 def b_complex(z: complex) -> complex:
@@ -101,8 +106,7 @@ def b_complex(z: complex) -> complex:
     and infinite z.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("b_complex requires a finite argument")
+    _finite("b_complex", (z.real, z.imag))
     if z.real < 0.0 and z.imag < 0.0:
         raise DomainError("b_complex is restricted to Re z >= 0 or Im z >= 0")
     if z.imag == 0.0:

@@ -17,7 +17,8 @@ from cauchyspec import (QuadratureSpec, bracket, heat_kernel, integrate,
                         mu_asymptotic, pi_transform, psi, remainder,
                         residual_norm, rr_eigenfunction, tilde_phi,
                         tilde_phi_norm2)
-from cauchyspec.checks import CHECKS, bump, bump_transform, spectral_rel_error
+from cauchyspec.checks import (CHECKS, bump, bump_transform, residual_bound,
+                               spectral_rel_error)
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
@@ -169,7 +170,7 @@ def test_criterion_10_generator_residual():
     for n in (4, 6, 8):
         mu = mu_asymptotic(n)
         res = residual_norm(n, nodes_per_piece=32)
-        bound = math.sqrt(1.21 + 8.00 / mu + 13.66 / mu**2) / mu
+        bound = residual_bound(n)
         n2 = tilde_phi_norm2(n)
         in_window = 1.0 - 0.52 / mu <= n2 <= 1.0 + 1.37 / mu
         ok = ok and res <= bound + 1e-4 and in_window
@@ -195,15 +196,13 @@ def test_criterion_11_eigenfunction_estimates():
     close_ok = True
     details = []
     for n in (5, 7):
-        mu = mu_asymptotic(n)
         gf = rr_eigenfunction(n, N)
         tp = tilde_phi(n, xs)
         w = gf.weights
         c = math.sqrt(float((tp * tp * w).sum()))
         ip = float((tp * gf.values * w).sum())
         dist = math.sqrt(max(c * c + c * c - 2 * c * ip, 0.0))
-        bound = 20.0 / (3.0 * PI) * math.sqrt(1.21 + 8.00 / mu
-                                              + 13.66 / mu**2) / mu
+        bound = 20.0 / (3.0 * PI) * residual_bound(n)
         close_ok = close_ok and dist <= bound
         details.append(f"n={n}: dist {dist:.4f} <= {bound:.4f}")
     ok = parity_ok and sup_ok and close_ok

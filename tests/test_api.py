@@ -1,4 +1,5 @@
-"""The package exports exactly what the numerical modules declare."""
+"""The package exports exactly what the numerical modules declare, and
+its error types form one hierarchy."""
 import importlib
 
 import cauchyspec
@@ -20,3 +21,16 @@ def test_package_all_is_union_of_module_all():
     expected = declared | error_types | {"__version__"}
     assert sorted(cauchyspec.__all__) == sorted(expected)
     assert all(hasattr(cauchyspec, entry) for entry in cauchyspec.__all__)
+
+
+def test_error_hierarchy():
+    # every check of a caller-supplied value raises DomainError, which an
+    # ``except ValueError`` still catches
+    assert issubclass(errors.DomainError, ValueError)
+    assert issubclass(errors.DomainError, errors.CauchySpecError)
+    assert issubclass(errors.PoleError, errors.DomainError)
+    error_types = [v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, Exception)
+                   and not issubclass(v, Warning)]
+    assert errors.NonConvergence in error_types
+    assert all(issubclass(e, errors.CauchySpecError) for e in error_types)

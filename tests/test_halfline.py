@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyspec import (DomainError, GridFunction, McConfig, NonConvergence,
-                        PoleError, QuadratureSpec, assemble_intermediate,
+from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
+                        QuadratureSpec, assemble_intermediate,
                         b_complex, bracket, eta, estimate_survival,
                         exit_density, exit_law, f_exit, green_moment,
                         heat_kernel, heat_kernel_spectral, heat_kernel_table,
@@ -147,6 +147,7 @@ INVALID_CALLS = {
     "b_complex(nan)": (b_complex, NAN),
     "b_complex(inf)": (b_complex, INF),
     "ti2(nan)": (ti2, NAN),
+    "ti2(inf)": (ti2, INF),
     "exit_density(nan,1)": (exit_density, NAN, 1.0),
     "exit_density(1,[1,nan])": (exit_density, 1.0, [1.0, NAN]),
     "survival(nan,1)": (survival, NAN, 1.0),
@@ -193,6 +194,8 @@ INVALID_CALLS = {
                                           1.0, 0.0),
     "heat_kernel_spectral(1,1,1,tol=inf)": (heat_kernel_spectral, 1.0, 1.0,
                                             1.0, INF),
+    "heat_kernel_spectral(1e-300,1,1)": (heat_kernel_spectral, 1e-300, 1.0,
+                                         1.0),
     "green_moment(1.5,0.5)": (green_moment, 1.5, 0.5),
     "green_moment(True,1)": (green_moment, True, 1),
     "green_moment(0,False)": (green_moment, 0, False),
@@ -219,6 +222,11 @@ INVALID_CALLS = {
                                  [1.0, -INF, 1.0]),
     "GridFunction(weight nan)": (GridFunction, [0.0, 1.0], [1.0, 1.0],
                                  [0.5, NAN]),
+    "QuadratureSpec(max_subdivisions=2.5)": (QuadratureSpec, 1e-12, 1e-12,
+                                             2.5),
+    "QuadratureSpec(max_subdivisions=True)": (QuadratureSpec, 1e-12, 1e-12,
+                                              True),
+    "QuadratureSpec(abs_tol=inf)": (QuadratureSpec, INF),
 }
 
 
@@ -243,13 +251,31 @@ def test_heat_kernel_checks_every_point_before_integrating(name, monkeypatch):
         fn(*args)
 
 
-def test_survival_far_horizon_raises_nonconvergence():
-    # f(s/x)/s overflows to NaN far out; before, the NaN estimate ended the
-    # quadrature as converged and survival returned nan.  numpy's overflow
-    # warnings are silenced here so that the NaN reaches the engine
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonConvergence):
-            survival(1.0, 1e300)
+def test_survival_far_horizon_converges():
+    # f(s/x)/s used to overflow to NaN far out, through eta, and the engine
+    # raised NonConvergence on the NaN estimate; far starts and far horizons
+    # now integrate with no numpy warning, to the 1e-12 tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= survival(1.0, 1e300) <= 1e-12
+        assert 0.0 <= survival(1e-300, 1.0) <= 1e-12
+        dens, surv = exit_law(1e-300, [1.0, 2.0])
+    assert np.all(np.isfinite(dens)) and np.all(np.abs(surv) <= 1e-10)
+
+
+def test_exit_kernel_finite_at_large_arguments():
+    # a*a overflowed in log1p beyond |t| ~ 1.3e154: eta was +inf, so f and
+    # the exit density were NaN.  Beyond 1e150, eta(t) is log(t)/2 plus
+    # O(log(t)/t) and f(s) is e^{eta(s)}/(pi s) = 1/(pi sqrt(s))
+    big = np.array([1e160, 1e200, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(eta(big), 0.5 * np.log(big), rtol=1e-15, atol=0)
+        assert np.allclose(eta(-big), 0.5 * np.log(big), rtol=1e-15, atol=0)
+        assert np.allclose(f_exit(big), 1.0 / (math.pi * np.sqrt(big)),
+                           rtol=1e-13, atol=0)
+        assert exit_density(1e-300, 1.0) == pytest.approx(f_exit(1e300),
+                                                          rel=1e-15)
 
 
 def test_total_monotonicity_spot_checks():

@@ -10,6 +10,7 @@ from cauchyspec import (DomainError, QuadratureSpec, bracket,
                         generator_apply, green_moment, lower_bounds, mu_asymptotic, q_cutoff,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
+from cauchyspec.checks import residual_bound
 from cauchyspec.interval import (REFERENCE_BRACKETS, assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry)
 
@@ -120,9 +121,7 @@ def test_generator_on_halfline_eigenfunction_window():
 
 @pytest.mark.slow
 def test_residual_bound_n4():
-    mu = mu_asymptotic(4)
-    res = residual_norm(4)
-    assert res <= math.sqrt(1.21 + 8.00 / mu + 13.66 / mu**2) / mu
+    assert residual_norm(4) <= residual_bound(4)
 
 
 @pytest.mark.slow

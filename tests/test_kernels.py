@@ -115,10 +115,11 @@ def test_heat_kernel_table_matches_two_f_exit_integrand():
         def integrand(s):
             a = s / x
             b = (t - s) / y
-            return f_exit(np.abs(a)) * f_exit(np.abs(b)) / (a + b)
+            return (f_exit(np.abs(a)) * f_exit(np.abs(b))
+                    / (s * y + (t - s) * x))
 
         cauchy = t / (math.pi * (t * t + (x - y) ** 2))
-        return cauchy - integrate(integrand, (0.0, t), spec) / (x * y)
+        return cauchy - integrate(integrand, (0.0, t), spec)
 
     for t, xs, ys in ((1.0, [0.3, 0.9, 2.0], [0.3, 1.1, 2.0]),
                       (0.25, [0.05, 4.0], [0.7, 3.0, 9.0])):
@@ -133,6 +134,19 @@ def test_square_heat_kernel_table_mirrors_its_upper_triangle():
     assert np.array_equal(table, table.T)
     for i, j in zip(*np.triu_indices(xs.size)):
         assert table[i, j] == heat_kernel(0.7, float(xs[i]), float(xs[j]))
+
+
+@pytest.mark.parametrize("x", [1e-8, 1e-12])
+def test_heat_kernel_precise_near_the_boundary(x):
+    # the tolerance applies to the kernel, not to its correction integral
+    # before the division by x y: at x = 1e-8 that left a relative error of
+    # 5e-4, against a tight-tolerance run and against the boundary law
+    # p_1(x, 1) = c sqrt(x) (1 + O(x)), c = 0.2416287441...
+    val = heat_kernel(1.0, x, 1.0)
+    tight = heat_kernel(1.0, x, 1.0, QuadratureSpec(abs_tol=1e-300,
+                                                    rel_tol=1e-14))
+    assert val == pytest.approx(tight, rel=1e-9)
+    assert val / math.sqrt(x) == pytest.approx(0.2416287441, rel=1e-7)
 
 
 def test_array_heat_kernel_matches_scalar_calls():

@@ -7,14 +7,14 @@ import pytest
 
 from cauchyspec import (McConfig, estimate_survival, montecarlo,
                         refinement_study, sample_cauchy_increments, survival)
-from cauchyspec.halfline import _check_positive
+from cauchyspec.errors import _positive
 from cauchyspec.montecarlo import _N_BATCHES, _survive_batches
 
 
 def _survive_batches_reference(x: float, t: float, cfg: McConfig, strides=(1,)):
     """The step-by-step per-batch path loop, kept verbatim as an oracle for
     the counts of the block kernel."""
-    _check_positive("x and t", x, t)
+    _positive("x and t", x, t)
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise ValueError("t must be a multiple of dt")
