@@ -126,10 +126,10 @@ def cmd_eigs(cfg: RunConfig) -> int:
 
 
 def cmd_psi(cfg: RunConfig) -> int:
-    from .halfline import _psi_with_remainder
+    from .halfline import psi, remainder
     p = cfg.params
     xs = np.linspace(p["xmin"], p["xmax"], p["points"])
-    vals, rem = _psi_with_remainder(p["lam"], xs)
+    vals, rem = psi(p["lam"], xs), remainder(p["lam"] * xs)
     rows = [[float(x), float(v), float(r)] for x, v, r in zip(xs, vals, rem)]
     _emit(cfg, {"meta": _meta(cfg), "columns": ["x", "psi", "remainder"],
                 "rows": rows})

@@ -33,10 +33,12 @@ scalar :func:`heat_kernel`, of a 1-D y for an array call and of every cell
 for :func:`heat_kernel_table`, whose square tables (xs equal to ys) hold
 the cells on and above the diagonal alone and mirror them.
 
-Arguments are checked by the input rules of :mod:`.errors`.  Results are
-plain floats and arrays: psi and r at a point come from :func:`psi` and
-:func:`remainder`, a heat-kernel table is a (len(xs), len(ys)) array and
-the exit law a (density, survival) pair.
+Public functions check their arguments by the input rules of :mod:`.errors`
+and call unchecked kernels, which the numerics call directly; ``_psi``,
+psi(1, .) on an array, is the only place the formula of psi is written.
+Results are plain floats and arrays: psi and r at a point come from
+:func:`psi` and :func:`remainder`, a heat-kernel table is a (len(xs),
+len(ys)) array and the exit law a (density, survival) pair.
 """
 
 from __future__ import annotations
@@ -227,24 +229,22 @@ def _remainder(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_with_remainder(lam: float, x):
-    """psi(lam, x) and r(lam x) as two arrays, psi 0 where x <= 0 and r 0
-    where x < 0, with r evaluated once per point.  lam must be positive and
-    every x finite."""
-    _positive("lam", lam)
-    x = np.atleast_1d(_finite("psi", x))
-    vals, rem = np.zeros_like(x), np.zeros_like(x)
-    rem[x >= 0] = remainder(lam * x[x >= 0])
-    pos = x > 0
-    vals[pos] = np.sin(lam * x[pos] + _PI / 8.0) - rem[pos]
-    return vals, rem
+def _psi(x: np.ndarray) -> np.ndarray:
+    """psi(1, x) on a float array of finite x, unchecked: sin(x + pi/8) - r(x)
+    on the whole array (r at |x| if some x <= 0), then 0 where x <= 0, which
+    is cheaper than gathering the positive points."""
+    out = np.sin(x + _PI / 8.0) - _remainder(
+        np.abs(x).ravel() if (x <= 0.0).any() else x.ravel()).reshape(x.shape)
+    out[x <= 0.0] = 0.0
+    return out
 
 
 def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
     for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
-    lam must be positive and every x finite."""
-    return _scalar_or_array(lambda xs: _psi_with_remainder(lam, xs)[0], x)
+    lam must be positive and every lam*x finite."""
+    _positive("lam", lam)
+    return _scalar_or_array(_psi, _finite("psi", lam * np.asarray(x, float)))
 
 
 def laplace_psi(lam: float, z: complex) -> complex:
@@ -297,18 +297,19 @@ def exit_density(x: float, t):
     return _scalar_or_array(lambda s: _f_over_s(s, x), t)
 
 
-def _exit_masses(x: float, ts, tol: float) -> np.ndarray:
-    """The exit-density mass int f(s/x)/s ds of each interval (0, t_1),
-    (t_1, t_2), ... for increasing ts, as one batch of integrals to
-    absolute and relative tolerance tol.  The decades of x seed the first
-    interval: the s^(-3/2) tail of f(s/x)/s sits within a few multiples of
-    x, where the nodes of one wide panel [x, t_1] would never look."""
+def _survival(x: float, ts, tol: float) -> np.ndarray:
+    """Survival at increasing ts, clipped to [0, 1]: 1 minus the running sum
+    of the exit-density masses of (0, t_1), (t_1, t_2), ..., one batch of
+    integrals to tolerance tol.  The decades of x seed the first interval:
+    the s^(-3/2) tail of f(s/x)/s sits within a few multiples of x, where
+    the nodes of one wide panel [x, t_1] would never look."""
     edges = [0.0, *ts]
     decades = [x * 10.0**k for k in range(int(math.log10(ts[0] / x)) + 1)]
-    return integrate_many(lambda s, rows: _f_over_s(s, x),
-                          list(zip(edges[:-1], edges[1:])),
-                          QuadratureSpec(abs_tol=tol, rel_tol=tol),
-                          [decades] + [()] * (len(ts) - 1))
+    masses = integrate_many(lambda s, rows: _f_over_s(s, x),
+                            list(zip(edges[:-1], edges[1:])),
+                            QuadratureSpec(abs_tol=tol, rel_tol=tol),
+                            [decades] + [()] * (len(ts) - 1))
+    return np.clip(1.0 - np.cumsum(masses), 0.0, 1.0)
 
 
 def survival(x: float, t: float) -> float:
@@ -317,7 +318,7 @@ def survival(x: float, t: float) -> float:
     0 and 1, and at least (2/pi) arctan(x/t); x and t must be positive and
     finite."""
     _positive("x and t", x, t)
-    return 1.0 - float(_exit_masses(x, [t], 1e-12)[0])
+    return float(_survival(x, [t], 1e-12)[0])
 
 
 #: tolerance of the correction integral of the closed-form heat kernel
@@ -384,14 +385,13 @@ def heat_kernel_spectral(t: float, x: float, y: float,
                           max_subdivisions=int(200 + 40 * lam_max * (x + y)))
 
     def integrand(lam):
-        return ((2.0 / _PI) * psi(1.0, lam * x) * psi(1.0, lam * y)
-                * np.exp(-lam * t))
+        return (2.0 / _PI) * _psi(lam * x) * _psi(lam * y) * np.exp(-lam * t)
 
     pts = [k / t for k in (0.5, 1, 2, 4, 8) if k / t < lam_max]
     return integrate(integrand, (0.0, lam_max), spec, points=pts)
 
 
-def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFunction:
+def pi_transform(f: GridFunction, out_nodes: np.ndarray) -> GridFunction:
     """The transform (Pi f)(x) = int f(lam) psi(lam, x) dlam, evaluated with
     the grid's own quadrature weights.
 
@@ -402,12 +402,12 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     must not exceed pi / (8 * min(max input node, max output node)), else
     :class:`GridTooCoarse` is raised.  Applying the transform twice returns
     (pi/2) times the original function.  Beyond the hard floor, accuracy is
-    grid-dependent and must be measured, not assumed.  Output nodes other
-    than a strictly increasing 1-D array of at least two finite, positive
-    points raise :class:`DomainError`.
+    grid-dependent and must be measured, not assumed.  A negative input
+    node, or output nodes other than a strictly increasing 1-D array of at
+    least two finite, positive points, raise :class:`DomainError`.
     """
-    out = _increasing("output nodes",
-                      f.nodes if out_nodes is None else out_nodes, 2)
+    _finite("input nodes", f.nodes, low=0.0)
+    out = _increasing("output nodes", out_nodes, 2)
     _positive("output nodes", out)
     lam_max = min(float(f.nodes.max()), float(out.max()))
     if f.spacing() > _PI / (8.0 * lam_max) + 1e-15:
@@ -417,9 +417,7 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray | None = None) -> GridFu
     vals = np.empty_like(out)
     block = max(1, int(4e6 / max(f.nodes.size, 1)))
     for i in range(0, out.size, block):
-        args = np.outer(f.nodes, out[i:i + block])
-        kernel = np.sin(args + _PI / 8.0) - remainder(args.ravel()).reshape(args.shape)
-        vals[i:i + block] = coef @ kernel
+        vals[i:i + block] = coef @ _psi(np.outer(f.nodes, out[i:i + block]))
     return GridFunction.from_samples(out, vals)
 
 
@@ -448,9 +446,9 @@ def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(density, survival) of the exit time started at x on a positive,
-    increasing 1-D time grid.  Survival is 1 minus the running sum of the
-    exit-density masses between consecutive times, each integrated to
-    1e-10, so the two columns are consistent by construction."""
+    increasing 1-D time grid.  Survival, clipped to [0, 1], is 1 minus the
+    running sum of the exit-density masses between consecutive times, each
+    integrated to 1e-10, so the two columns are consistent by construction."""
     ts = _increasing("ts", ts, 1)
     dens = exit_density(x, ts)        # checks that x and ts are positive
-    return dens, 1.0 - np.cumsum(_exit_masses(x, ts.tolist(), 1e-10))
+    return dens, _survival(x, ts.tolist(), 1e-10)

@@ -30,7 +30,9 @@ eigenfunctions, and nothing is cached between calls.
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
 generator they are tested against, and reconstruction of the Rayleigh-Ritz
-eigenfunctions as grid functions.
+eigenfunctions as grid functions.  :func:`tilde_phi` checks its arguments
+and calls ``_tilde_phi``, built on the half-line kernel ``halfline._psi``;
+the numerics here call ``_tilde_phi`` directly.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from scipy.special import legendre_p_all
 
 from .errors import (BracketInversion, CauchySpecError, DomainError,
                      _finite, _integer, _scalar_or_array)
-from .halfline import psi
+from .halfline import _psi
 from .linalg import generalized_sym_eig, solve_spd, sym_eig
 from .quadrature import (GridFunction, QuadratureSpec, integrate,
                          integrate_many)
@@ -143,17 +145,19 @@ def tilde_phi(n: int, x):
     (sign + for odd n, - for even), supported on (-1, 1), symmetric for odd
     n and antisymmetric for even n.  n is an integer >= 1 and x finite."""
     _integer("n", n, 1)
+    return _scalar_or_array(lambda xs: _tilde_phi(n, xs),
+                            _finite("tilde_phi", x))
+
+
+def _tilde_phi(n: int, x: np.ndarray) -> np.ndarray:
+    """tilde_phi_n on a float array of finite x, unchecked."""
     mu, sgn = mu_asymptotic(n), (1.0 if n % 2 == 1 else -1.0)
-
-    def glued(x):
-        out = np.zeros_like(x)
-        inside = (x > -1.0) & (x < 1.0)
-        xi = x[inside]
-        out[inside] = (_q(-xi) * psi(mu, 1.0 + xi)
-                       + sgn * _q(xi) * psi(mu, 1.0 - xi))
-        return out
-
-    return _scalar_or_array(glued, _finite("tilde_phi", x))
+    out = np.zeros_like(x)
+    inside = (x > -1.0) & (x < 1.0)
+    xi = x[inside]
+    out[inside] = (_q(-xi) * _psi(mu * (1.0 + xi))
+                   + sgn * _q(xi) * _psi(mu * (1.0 - xi)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +227,22 @@ def residual_norm(n: int, nodes_per_piece: int = 32) -> float:
     nodes_per_piece an integer >= 1."""
     _integer("n", n, 1)
     _integer("nodes_per_piece", nodes_per_piece, 1)
-    mu = mu_asymptotic(n)
-    g = lambda x: tilde_phi(n, x)
+    g = lambda x: _tilde_phi(n, x)
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     gx, gw = np.polynomial.legendre.leggauss(nodes_per_piece)
     lo, hi = np.array(PHI_KINKS[:-1]), np.array(PHI_KINKS[1:])
     zs = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gx
     ws = 0.5 * (hi - lo)[:, None] * gw
-    resid = generator_apply(g, zs, spec=spec) + mu * g(zs)
+    resid = generator_apply(g, zs, spec=spec) + mu_asymptotic(n) * g(zs)
     return math.sqrt(sum(float((r * r * w).sum()) for r, w in zip(resid, ws)))
 
 
 def tilde_phi_norm2(n: int) -> float:
     """Squared L2 norm of tilde_phi_n; n as in :func:`tilde_phi`."""
+    _integer("n", n, 1)
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-    g = lambda x: tilde_phi(n, x) ** 2
-    return integrate(g, (-1.0, 1.0), spec, points=PHI_KINKS[1:-1])
+    return integrate(lambda x: _tilde_phi(n, x) ** 2, (-1.0, 1.0), spec,
+                     PHI_KINKS[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +418,6 @@ def rr_eigenfunction(n: int, N: int) -> GridFunction:
     basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
     vals = coeff @ basis
     gf = GridFunction.from_samples(xs, vals)
-    if gf.inner(GridFunction.from_samples(xs, tilde_phi(n, xs))) < 0:
+    if gf.inner(GridFunction.from_samples(xs, _tilde_phi(n, xs))) < 0:
         gf.values = -gf.values
     return gf

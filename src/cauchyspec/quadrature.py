@@ -298,10 +298,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     estimate turns NaN, and :class:`DomainError` for a NaN limit, a limit
     of -inf or a doubly infinite domain.
     """
-    flip, shift, brk = _setup(domain, points)
-
     def flat(x, rows):
         return np.asarray(f(x.ravel())).reshape(x.shape)
 
-    val = _adaptive(flat, [(flip, shift, brk)], spec or QuadratureSpec())[0]
-    return -val if flip else val
+    return integrate_many(flat, [domain], spec, [points])[0].item()

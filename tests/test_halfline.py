@@ -165,12 +165,16 @@ INVALID_CALLS = {
     "pi_transform(f,[2,1])": (pi_transform, ONES, [2.0, 1.0]),
     "pi_transform(f,[1,1])": (pi_transform, ONES, [1.0, 1.0]),
     "pi_transform(f,[[1,2]])": (pi_transform, ONES, [[1.0, 2.0]]),
+    "pi_transform(node -0.5,[1,2])": (pi_transform, GridFunction.from_samples(
+        np.linspace(-0.5, 0.4, 10), np.ones(10)), [1.0, 2.0]),
     "q_cutoff(nan)": (q_cutoff, NAN),
     "q_cutoff(inf)": (q_cutoff, INF),
     "tilde_phi(1,nan)": (tilde_phi, 1, NAN),
     "tilde_phi(1.5,0.3)": (tilde_phi, 1.5, 0.3),
     "tilde_phi(True,0.3)": (tilde_phi, True, 0.3),
     "tilde_phi_norm2(2.5)": (tilde_phi_norm2, 2.5),
+    "tilde_phi_norm2(0)": (tilde_phi_norm2, 0),
+    "tilde_phi_norm2(True)": (tilde_phi_norm2, True),
     "residual_norm(2.5)": (residual_norm, 2.5),
     "estimate_survival(nan,1)": (estimate_survival, NAN, 1.0, McConfig()),
     "refinement_study(nan,1)": (refinement_study, NAN, 1.0, McConfig()),
@@ -261,6 +265,7 @@ def test_survival_far_horizon_converges():
         assert 0.0 <= survival(1e-300, 1.0) <= 1e-12
         dens, surv = exit_law(1e-300, [1.0, 2.0])
     assert np.all(np.isfinite(dens)) and np.all(np.abs(surv) <= 1e-10)
+    assert np.all((0.0 <= surv) & (surv <= 1.0))
 
 
 def test_exit_kernel_finite_at_large_arguments():

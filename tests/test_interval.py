@@ -11,7 +11,8 @@ from cauchyspec import (DomainError, QuadratureSpec, bracket,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
 from cauchyspec.checks import residual_bound
-from cauchyspec.interval import (REFERENCE_BRACKETS, assemble_intermediate,
+from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS,
+                                 assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry)
 
 PI = math.pi
@@ -133,6 +134,21 @@ def test_residual_localizes_eigenvalues():
         mu = mu_asymptotic(n)
         rel = residual_norm(n, nodes_per_piece=16) / math.sqrt(tilde_phi_norm2(n))
         assert abs(brs[n].midpoint - mu) <= rel + 1e-4
+
+
+def test_residual_norm_uses_tilde_phi_unchanged():
+    # residual_norm evaluates tilde_phi through its private kernel; the same
+    # Gauss sum with the public tilde_phi must agree bit for bit
+    n, nodes = 1, 16
+    g = lambda x: tilde_phi(n, x)
+    spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = np.array(PHI_KINKS[:-1]), np.array(PHI_KINKS[1:])
+    zs = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gx
+    ws = 0.5 * (hi - lo)[:, None] * gw
+    resid = generator_apply(g, zs, spec=spec) + mu_asymptotic(n) * g(zs)
+    ref = math.sqrt(sum(float((r * r * w).sum()) for r, w in zip(resid, ws)))
+    assert residual_norm(n, nodes) == ref
 
 
 # ---------------------------------------------------------------------------
