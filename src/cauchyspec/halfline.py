@@ -17,13 +17,19 @@ up to the factor pi/2).
 Evaluation strategy: Laplace transforms of the w-family are defined by a
 fixed composite Gauss rule over logarithmic t-panels (built lazily once)
 plus two closed forms, a head c t below the first panel and a t^{-3/2}
-tail beyond the last, so the rule holds for every finite x >= 0.  The
-remainder r, which sits under psi, Pi, the spectral heat kernel and the
-interval eigenfunctions, is read on 1e-12 < x < 1e4 from a
-piecewise-Chebyshev table of (1+x)^2 r(x) in log x (2 panels per decade,
-degree 16), sampled from that rule on first use, transformed by numpy's
-FFT and within a few ulps of the rule; other points go through the rule
-itself.  Everything else runs through the adaptive engine in
+tail beyond the last, so the rule holds for every finite x >= 0.  Two
+functions are read from one kind of table, piecewise-Chebyshev in log x,
+sampled from their defining formula on first use, transformed by numpy's
+FFT and evaluated by one Clenshaw loop; other points go through the
+formula itself.  The remainder r, which sits under psi, Pi, the spectral
+heat kernel and the interval eigenfunctions, is read on 1e-12 < x < 1e4
+from (1+x)^2 r(x) (2 panels per decade, degree 16), within a few ulps of
+the rule.  The exit kernel f, which sits in every heat-kernel and
+exit-law integrand, is read on 1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s
+(4 panels per decade, degree 16), within 1e-14 relative of its closed
+form through Ti2 and several times cheaper per point.
+
+Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
 the exit density f(s/x)/s over (0, t_1), (t_1, t_2), ... form one batch of
 integrals, which gives survival at one time and the survival column of
@@ -44,7 +50,7 @@ len(ys)) array and the exit law a (density, survival) pair.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import erfc, gammainc
@@ -89,15 +95,6 @@ def remainder_weight(t, form: str = "eta"):
 #: range and Gauss order of the octave panels of the Laplace rule
 _RULE_LO, _RULE_HI = 1e-13, 1e10
 _RULE_ORDER = 24
-#: range, panels per decade and degree of the remainder table
-_TABLE_LO, _TABLE_HI = 1e-12, 1e4
-_TABLE_PER_DECADE = 2
-_TABLE_DEGREE = 16
-_TABLE_U0 = math.log(_TABLE_LO)
-_TABLE_H = math.log(10.0) / _TABLE_PER_DECADE
-_TABLE_PANELS = round(math.log10(_TABLE_HI / _TABLE_LO)) * _TABLE_PER_DECADE
-#: points per block of a table evaluation, which bounds its temporaries
-_TABLE_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -156,47 +153,91 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     return out + amp * _tail(xr, T) + _head(x)
 
 
-@lru_cache(maxsize=None)
-def _remainder_table() -> tuple[np.ndarray, ...]:
-    """Chebyshev coefficients of g(x) = (1+x)^2 r(x) in u = log x, one
-    degree-16 interpolant per half-decade panel of (1e-12, 1e4), sampled
-    from the Laplace rule at first-kind Chebyshev points one panel at a time.
-    The DCT-II of all panels is one real FFT of their even extensions, each
-    coefficient k turned by e^{-i pi k/(2m)} (the basis is not formed by
-    recurrence, whose rounding would cost a digit).  g is analytic and
-    between about 0.2 and 0.4 there, so the interpolants converge
-    geometrically to the rounding level of the rule.  Returned as one
-    contiguous array per degree."""
-    m = _TABLE_DEGREE + 1
-    s = np.cos(_PI * (np.arange(m) + 0.5) / m)
-    g = np.empty((_TABLE_PANELS, m))
-    for k in range(_TABLE_PANELS):
-        x = np.exp(_TABLE_U0 + _TABLE_H * (k + 0.5 * (s + 1.0)))
-        g[k] = (1.0 + x) ** 2 * _laplace_of_weight(x)
-    ext = np.fft.rfft(np.concatenate((g, g[:, ::-1]), axis=1))[:, :m]
-    coef = (ext * np.exp(-0.5j * _PI * np.arange(m) / m)).real / m
-    coef[:, 0] *= 0.5
-    return tuple(np.ascontiguousarray(col) for col in coef.T)
+#: points per block of a table evaluation, which bounds its temporaries
+_TABLE_BLOCK = 1 << 15
 
 
-def _remainder_from_table(x: np.ndarray) -> np.ndarray:
-    """r(x) for 1e-12 < x < 1e4, by Clenshaw on the panel of each point."""
-    cols = _remainder_table()
-    out = np.empty_like(x)
-    for i in range(0, x.size, _TABLE_BLOCK):
-        xb = x[i:i + _TABLE_BLOCK]
-        t = (np.log(xb) - _TABLE_U0) / _TABLE_H
-        # truncation sends a t rounded just below 0 to panel 0; the top of
-        # the range, x = 1e4, has t = _TABLE_PANELS, one past the last panel
-        k = np.minimum(t.astype(np.intp), _TABLE_PANELS - 1)
-        s2 = 4.0 * (t - k) - 2.0                 # 2 s, s in [-1, 1]
-        b1 = cols[-1][k]
-        b2 = np.zeros_like(xb)
-        for col in cols[-2:0:-1]:
-            b1, b2 = col[k] + s2 * b1 - b2, b1
-        g = cols[0][k] + 0.5 * s2 * b1 - b2
-        out[i:i + _TABLE_BLOCK] = g / (1.0 + xb) ** 2
+class _LogChebTable:
+    """A function fn, read on lo < x < hi from piecewise-Chebyshev
+    interpolants of g = scale * fn in u = log x: per_decade panels per
+    decade (lo and hi a whole number of decades apart), one interpolant of
+    the given degree each.
+
+    On first use g is sampled at first-kind Chebyshev points one panel at a
+    time.  The DCT-II of all panels is one real FFT of their even
+    extensions, each coefficient k turned by e^{-i pi k/(2m)} (the basis is
+    not formed by recurrence, whose rounding would cost a digit).  When g
+    is bounded and analytic in u the interpolants converge geometrically to
+    the rounding level of fn.  The coefficients are kept as one contiguous
+    array per degree, which :meth:`read` gathers by panel for Clenshaw."""
+
+    def __init__(self, fn, scale, lo: float, hi: float, per_decade: int,
+                 degree: int):
+        self.fn, self.scale = fn, scale
+        self.lo, self.hi, self.per_decade = lo, hi, per_decade
+        self.degree = degree
+        self.u0 = math.log(lo)
+        self.h = math.log(10.0) / per_decade
+        self.panels = round(math.log10(hi / lo)) * per_decade
+
+    @cached_property
+    def cols(self) -> tuple[np.ndarray, ...]:
+        m = self.degree + 1
+        s = np.cos(_PI * (np.arange(m) + 0.5) / m)
+        g = np.empty((self.panels, m))
+        for k in range(self.panels):
+            x = np.exp(self.u0 + self.h * (k + 0.5 * (s + 1.0)))
+            g[k] = self.scale(x) * self.fn(x)
+        ext = np.fft.rfft(np.concatenate((g, g[:, ::-1]), axis=1))[:, :m]
+        coef = (ext * np.exp(-0.5j * _PI * np.arange(m) / m)).real / m
+        coef[:, 0] *= 0.5
+        return tuple(np.ascontiguousarray(col) for col in coef.T)
+
+    def read(self, x: np.ndarray) -> np.ndarray:
+        """fn(x) for lo < x < hi, by Clenshaw on the panel of each point."""
+        cols = self.cols
+        out = np.empty_like(x)
+        for i in range(0, x.size, _TABLE_BLOCK):
+            xb = x[i:i + _TABLE_BLOCK]
+            t = (np.log(xb) - self.u0) / self.h
+            # truncation sends a t rounded just below 0 to panel 0; the top
+            # of the range, x = hi, has t = panels, one past the last panel
+            k = np.minimum(t.astype(np.intp), self.panels - 1)
+            s2 = 4.0 * (t - k) - 2.0                 # 2 s, s in [-1, 1]
+            b1 = cols[-1][k]
+            b2 = np.zeros_like(xb)
+            for col in cols[-2:0:-1]:
+                b1, b2 = col[k] + s2 * b1 - b2, b1
+            g = cols[0][k] + 0.5 * s2 * b1 - b2
+            out[i:i + _TABLE_BLOCK] = g / self.scale(xb)
+        return out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """fn on a float array: read from the table inside (lo, hi) and
+        computed by fn itself at the other points."""
+        inside = (x > self.lo) & (x < self.hi)
+        if inside.all():
+            return self.read(x)
+        out = np.empty_like(x)
+        out[inside] = self.read(x[inside])
+        out[~inside] = self.fn(x[~inside])
+        return out
+
+
+def _remainder_by_rule(x: np.ndarray) -> np.ndarray:
+    """r on a float array of finite x >= 0 through the Laplace rule, with
+    r(0) = sin(pi/8) exactly."""
+    out = np.full_like(x, _SIN_PI8)
+    p = x > 0.0
+    if p.any():
+        out[p] = _laplace_of_weight(x[p])
     return out
+
+
+#: r as (1+x)^2 r(x), which lies between about 0.2 and 0.4, on
+#: (1e-12, 1e4), 2 panels per decade of degree 16
+_R_TABLE = _LogChebTable(_remainder_by_rule, lambda x: (1.0 + x) ** 2,
+                         1e-12, 1e4, 2, 16)
 
 
 def remainder(x):
@@ -216,17 +257,7 @@ def remainder(x):
 
 def _remainder(x: np.ndarray) -> np.ndarray:
     """r on a float array of finite x >= 0, unchecked."""
-    table = (x > _TABLE_LO) & (x < _TABLE_HI)
-    if table.all():
-        return _remainder_from_table(x)
-    out = np.empty_like(x)
-    out[table] = _remainder_from_table(x[table])
-    zero = x == 0.0
-    out[zero] = _SIN_PI8
-    rule = ~(table | zero)
-    if rule.any():
-        out[rule] = _laplace_of_weight(x[rule])
-    return out
+    return _R_TABLE(x)
 
 
 def _psi(x: np.ndarray) -> np.ndarray:
@@ -263,14 +294,19 @@ def laplace_psi(lam: float, z: complex) -> complex:
 def f_exit(s):
     """Exit kernel f(s) = (1/pi) s/(1+s^2) e^{eta(s)} for s >= 0 (vanishes
     at 0, positive and bounded).  Equals s^{1-arctan(s)/pi} (1+s^2)^{-3/4}
-    e^{Ti2(s)/pi} / pi, finite at every finite s.  NaN, +inf and s < 0
-    raise DomainError."""
+    e^{Ti2(s)/pi} / pi, finite at every finite s.
+
+    On 1e-12 < s < 1e12 the value comes from a piecewise-Chebyshev table of
+    f(s) (1+s)^{3/2}/s in log s, built on first use from that closed form
+    and within 1e-14 relative of it; every other s goes through the closed
+    form.  NaN, +inf and s < 0 raise DomainError."""
     return _scalar_or_array(_f, _finite("f_exit", s, low=0.0))
 
 
-def _f(s: np.ndarray) -> np.ndarray:
-    """The exit kernel f on a float array of finite s >= 0, unchecked; far
-    out, where s*s overflows, s/(pi (1+s^2)) is (1/pi)/s."""
+def _f_closed(s: np.ndarray) -> np.ndarray:
+    """The exit kernel f on a float array of finite s >= 0 in closed form,
+    through Ti2; far out, where s*s overflows, s/(pi (1+s^2)) is
+    (1/pi)/s."""
     out = np.zeros_like(s)
     p = s > 0
     sp = s[p]
@@ -278,6 +314,20 @@ def _f(s: np.ndarray) -> np.ndarray:
                    lambda b: b / (_PI * (1.0 + b * b)))
     out[p] = w * np.exp(_eta_pos(sp))
     return out
+
+
+#: f as q(s) = f(s) (1+s)^{3/2}/s, bounded and analytic in log s, on
+#: (1e-12, 1e12), 4 panels per decade of degree 16: arctan's branch points
+#: lie only pi/2 off the real log s axis, and with 2 panels per decade the
+#: error reaches 5e-14 near s = 1
+_F_TABLE = _LogChebTable(_f_closed,
+                         lambda s: (1.0 + s) * np.sqrt(1.0 + s) / s,
+                         1e-12, 1e12, 4, 16)
+
+
+def _f(s: np.ndarray) -> np.ndarray:
+    """The exit kernel f on a float array of finite s >= 0, unchecked."""
+    return _F_TABLE(s)
 
 
 def _f_over_s(s, x: float):

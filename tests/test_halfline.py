@@ -15,10 +15,8 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         psi, q_cutoff, refinement_study, remainder,
                         residual_norm, rr_eigenfunction, survival, tilde_phi,
                         tilde_phi_norm2, ti2, upper_bounds)
-from cauchyspec.halfline import (_TABLE_HI, _TABLE_LO, _TABLE_PANELS,
-                                 _TABLE_PER_DECADE, PSI_SUP,
-                                 _laplace_of_weight, _remainder_from_table,
-                                 remainder_weight)
+from cauchyspec.halfline import (_F_TABLE, _R_TABLE, PSI_SUP, _f_closed,
+                                 _laplace_of_weight, remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -73,21 +71,25 @@ def _ulp_steps(x, n):
     return np.array(below[::-1] + above[1:])
 
 
+def _seams(table, n):
+    """Every panel edge of a table, the two range limits among them, and
+    the n nearest floats on either side of each."""
+    edges = table.lo * 10.0 ** (np.arange(table.panels + 1) / table.per_decade)
+    return np.concatenate([_ulp_steps(e, n) for e in edges])
+
+
 def test_remainder_table_matches_rule():
-    xs = np.geomspace(_TABLE_LO, _TABLE_HI, 40001)
+    xs = np.geomspace(_R_TABLE.lo, _R_TABLE.hi, 40001)
     assert _table_deviation(xs) <= TABLE_RTOL
 
 
 def test_remainder_table_seams():
-    # every panel edge, the two range limits among them
-    edges = _TABLE_LO * 10.0 ** (np.arange(_TABLE_PANELS + 1) / _TABLE_PER_DECADE)
-    xs = np.concatenate([_ulp_steps(e, 4) for e in edges])
-    assert _table_deviation(xs) <= TABLE_RTOL
+    assert _table_deviation(_seams(_R_TABLE, 4)) <= TABLE_RTOL
 
 
 def test_remainder_monotone_across_table_limits():
     # outside the table r comes from the Laplace rule
-    for lim in (_TABLE_LO, _TABLE_HI):
+    for lim in (_R_TABLE.lo, _R_TABLE.hi):
         xs = lim * (1.0 + 1e-6 * np.arange(-50, 51))
         assert np.all(np.diff(remainder(xs)) <= 0.0)
 
@@ -95,10 +97,40 @@ def test_remainder_monotone_across_table_limits():
 def test_remainder_table_top_edge_index():
     # the top of the range lies on the edge of a 33rd panel that does not
     # exist: log(1e4) gives index 32 of 32 exactly, so the index is clipped
-    xs = np.array([9999.999999, np.nextafter(_TABLE_HI, 0.0), _TABLE_HI])
-    table = _remainder_from_table(xs)
+    xs = np.array([9999.999999, np.nextafter(_R_TABLE.hi, 0.0), _R_TABLE.hi])
+    table = _R_TABLE.read(xs)
     assert np.all(np.abs(table / _laplace_of_weight(xs) - 1.0) <= TABLE_RTOL)
     assert np.all(remainder(xs[:2]) == table[:2])
+
+
+#: largest relative deviation of the f table from the closed form
+F_TABLE_RTOL = 1e-14
+
+
+def _f_table_deviation(s):
+    return np.abs(_F_TABLE.read(s) / _f_closed(s) - 1.0).max()
+
+
+def test_f_table_matches_closed_form():
+    ss = np.geomspace(_F_TABLE.lo, _F_TABLE.hi, 200001)
+    assert _f_table_deviation(ss) <= F_TABLE_RTOL
+    assert np.all(f_exit(ss[1:-1]) == _F_TABLE.read(ss[1:-1]))
+
+
+def test_f_table_seams_and_limits():
+    # both range limits, every panel edge and the floats next to each; the
+    # float below the top limit is read from the table, in its last panel
+    ss = _seams(_F_TABLE, 4)
+    assert _f_table_deviation(ss) <= F_TABLE_RTOL
+    top = np.array([np.nextafter(_F_TABLE.hi, 0.0)])
+    assert f_exit(top) == _F_TABLE.read(top)
+
+
+def test_f_outside_table_is_closed_form():
+    ss = np.array([0.0, 1e-300, 1e-13, _F_TABLE.lo, _F_TABLE.hi, 1e13,
+                   1e160, 1e300])
+    assert np.array_equal(f_exit(ss).view(np.uint64),
+                          _f_closed(ss).view(np.uint64))
 
 
 def test_remainder_two_term_expansion_at_large_arguments():
@@ -143,6 +175,9 @@ ONES = GridFunction.from_samples(np.linspace(0.1, 1.0, 10), np.ones(10))
 INVALID_CALLS = {
     "f_exit(nan)": (f_exit, NAN),
     "f_exit(inf)": (f_exit, INF),
+    "f_exit(-1)": (f_exit, -1.0),
+    "f_exit(-inf)": (f_exit, -INF),
+    "f_exit([1,nan])": (f_exit, [1.0, NAN]),
     "eta(nan)": (eta, NAN),
     "b_complex(nan)": (b_complex, NAN),
     "b_complex(inf)": (b_complex, INF),
@@ -150,6 +185,7 @@ INVALID_CALLS = {
     "ti2(inf)": (ti2, INF),
     "exit_density(nan,1)": (exit_density, NAN, 1.0),
     "exit_density(1,[1,nan])": (exit_density, 1.0, [1.0, NAN]),
+    "exit_density(1,-1)": (exit_density, 1.0, -1.0),
     "survival(nan,1)": (survival, NAN, 1.0),
     "survival(1,inf)": (survival, 1.0, INF),
     "exit_law(1,[1,inf])": (exit_law, 1.0, [1.0, INF]),
