@@ -22,10 +22,13 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   The coupling C is two bands of -1 and the Gram matrix B is closed-form
   (:func:`gram_entry`, evaluated on the whole index grid at once).
 
-Both pipelines assemble and solve in float64 on plain arrays: nothing in
-either assembly cancels, so no precision setting exists.  The Ritz
-eigensolve of A_N is one function, shared by the upper bounds and the
-eigenfunctions, and nothing is cached between calls.
+Both operators commute with x -> -x, so the Ritz matrix A_N and the pencil
+matrix S are exactly 0 off parity and split into an even and an odd block.
+Each pipeline assembles, certifies and solves the two blocks apart and
+merges their spectra, in float64 on plain arrays: nothing in either assembly
+cancels, so no precision setting exists.  The Ritz eigensolve of the blocks
+of A_N is one function, shared by the upper bounds and the eigenfunctions,
+and nothing is cached between calls.
 
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
@@ -266,6 +269,26 @@ def green_moment(m: int, n: int) -> float:
     return _PI * (_beta(m) * _beta(n) / ((1 << (m + n)) * (m + n + 2)))
 
 
+def _rr_blocks(N: int) -> list[np.ndarray]:
+    """The even and the odd block of A_N, A[p::2, p::2] for p = 0, 1 (the
+    odd one only for N >= 2); see :func:`assemble_rayleigh_ritz`."""
+    x, w = np.polynomial.legendre.leggauss(N + 2)
+    s = 0.5 * (x + 1.0)
+    c = np.sqrt((1.0 - s) * (1.0 + s))
+    # P_m and P_m' for m < N at every c and, in the last column, at 0
+    p, dp = legendre_p_all(N - 1, np.append(c, 0.0), diff_n=1)
+    U = p[:, -1:] * p[:, :-1]                          # even rows; odd are 0
+    m = np.arange(1, N, 2)[:, None]
+    U[1::2] = s * dp[1::2, -1:] * dp[1::2, :-1] / (m * (m + 1))
+    nu = np.sqrt(np.arange(N) + 0.5)
+    blocks = []
+    for q in range(min(N, 2)):
+        Uq = U[q::2]
+        a = (Uq * (0.5 * w * s)) @ Uq.T                # weight s ds on [0, 1]
+        blocks.append(_PI * 0.5 * (a + a.T) * np.outer(nu[q::2], nu[q::2]))
+    return blocks
+
+
 def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     """Matrix of the Green operator in the first N orthonormal Legendre
     polynomials, in float64 from its Gram form
@@ -282,29 +305,32 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     a polynomial of degree m in s, so N+2 Gauss-Legendre points in s
     integrate every entry exactly and the only error is rounding, about
     1e-14 ||A||_2.  The rule grows with N, so entries shared by two basis
-    sizes agree to that level, not bitwise.  N must be an integer >= 1."""
+    sizes agree to that level, not bitwise.  The even and the odd block are
+    assembled apart and scattered into A, whose off-parity entries stay
+    exactly 0.  N must be an integer >= 1."""
     _integer("N", N, 1)
-    x, w = np.polynomial.legendre.leggauss(N + 2)
-    s = 0.5 * (x + 1.0)
-    c = np.sqrt((1.0 - s) * (1.0 + s))
-    # P_m and P_m' for m < N at every c and, in the last column, at 0
-    p, dp = legendre_p_all(N - 1, np.append(c, 0.0), diff_n=1)
-    U = p[:, -1:] * p[:, :-1]                          # even rows; odd are 0
-    m = np.arange(1, N, 2)[:, None]
-    U[1::2] = s * dp[1::2, -1:] * dp[1::2, :-1] / (m * (m + 1))
-    A = (U * (0.5 * w * s)) @ U.T                      # weight s ds on [0, 1]
-    nu = np.sqrt(np.arange(N) + 0.5)
-    A = _PI * 0.5 * (A + A.T) * np.outer(nu, nu)
-    k = np.arange(N)
-    A[(k[:, None] + k[None, :]) % 2 == 1] = 0.0
+    A = np.zeros((N, N))
+    for q, a in enumerate(_rr_blocks(N)):
+        A[q::2, q::2] = a
     return A
 
 
 def _ritz(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues theta of A_N in descending order, with the matching
-    orthonormal eigenvectors as columns."""
-    theta, vec = sym_eig(assemble_rayleigh_ritz(N))
-    return theta[::-1], vec[:, ::-1]
+    orthonormal eigenvectors as columns.  Each parity block is solved on its
+    own by the certified :func:`.linalg.sym_eig`; its eigenvectors are
+    embedded into R^N with exact zeros off that parity, and the two sets are
+    merged by eigenvalue."""
+    theta, vec = [], []
+    for q, a in enumerate(_rr_blocks(N)):
+        t, v = sym_eig(a)
+        e = np.zeros((N, t.size))
+        e[q::2] = v
+        theta.append(t)
+        vec.append(e)
+    theta, vec = np.concatenate(theta), np.hstack(vec)
+    order = np.argsort(theta)[::-1]
+    return theta[order], vec[:, order]
 
 
 def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -348,15 +374,25 @@ def assemble_intermediate(N: int):
     coupling matrix of T f_n = -g_{n-1} - g_{n+1}; B the N x N Gram matrix,
     :func:`gram_entry` on the index grid 1..N; d = (1, ..., N+1) the exact
     eigenvalues of the Dirichlet-Neumann operator; and the symmetrized
-    S = I - C^T B^{-1} C.  N must be an integer >= 1."""
+    S = I - C^T B^{-1} C.  B couples indices of one parity and C indices of
+    opposite parity, so the columns p::2 of S meet only the rows 1-p::2 of
+    B (none for p = 0 at N = 1): B and S are built one parity block at a
+    time, each Gram block certified by its own Cholesky factorization, and
+    are exactly 0 off parity.  N must be an integer >= 1."""
     _integer("N", N, 1)
     K = N + 1
     k = np.arange(1, K)
-    B = gram_entry(k[:, None], k[None, :])
     C = -(np.eye(N, K, 1) + np.eye(N, K, -1))
-    S = np.eye(K) - C.T @ solve_spd(B, C)
+    B, S = np.zeros((N, N)), np.zeros((K, K))
+    for p, q in ((0, 1), (1, 0)):          # columns p::2 meet rows q::2
+        Sp = np.eye(len(range(p, K, 2)))
+        if q < N:
+            kq, Cq = k[q::2], C[q::2, p::2]
+            B[q::2, q::2] = Bq = gram_entry(kq[:, None], kq[None, :])
+            Sp -= Cq.T @ solve_spd(Bq, Cq)
+        S[p::2, p::2] = 0.5 * (Sp + Sp.T)
     d = np.arange(1.0, K + 1.0)
-    return C, B, d, 0.5 * (S + S.T)
+    return C, B, d, S
 
 
 def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -364,13 +400,16 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     the positive eigenvalues of the pencil D a = lambda S a together with
     the untouched trivial eigenvalues K+1, K+2, ... (K = N+1), in
     nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
+    S is 0 off parity, so the pencil is solved on its even and its odd
+    block, S[p::2, p::2] with d[p::2], and the two spectra are merged.
     Non-decreasing in N.  N is an integer >= 1 and count, by default N + 1,
     one of 0..N+1."""
     _integer("N", N, 1)
     count = N + 1 if count is None else count
     _integer("count", count, 0, N + 1)
     _, _, d, S = assemble_intermediate(N)
-    lam = generalized_sym_eig(S, d)
+    lam = np.concatenate([generalized_sym_eig(S[p::2, p::2], d[p::2])
+                          for p in (0, 1)])
     trivial = np.arange(N + 2.0, N + 2.0 + count)
     return np.sort(np.concatenate([lam[lam > 0], trivial]))[:count]
 

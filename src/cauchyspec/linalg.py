@@ -29,13 +29,11 @@ DEGENERACY_THRESHOLD = 1e-12
 
 def _symmetric(M) -> np.ndarray:
     """A float copy of M with the lower triangle mirrored into the upper;
-    DomainError unless M is square, 2-D and finite."""
-    a = _finite("matrix", M).copy()
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("need a square 2-D array")
-    i, j = np.triu_indices(a.shape[0], 1)
-    a[i, j] = a[j, i]
-    return a
+    DomainError unless M is square, 2-D, nonempty and finite."""
+    a = _finite("matrix", M)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DomainError("need a nonempty square 2-D array")
+    return np.tril(a) + np.tril(a, -1).T
 
 
 def sym_eig(M: np.ndarray):

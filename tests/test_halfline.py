@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         QuadratureSpec, assemble_intermediate,
                         b_complex, bracket, eta, estimate_survival,
-                        exit_density, exit_law, f_exit, green_moment,
+                        exit_density, exit_law, f_exit,
+                        generalized_sym_eig, green_moment,
                         heat_kernel, heat_kernel_spectral, heat_kernel_table,
                         integrate, laplace_psi, lower_bounds, pi_transform,
                         psi, q_cutoff, refinement_study, remainder,
-                        residual_norm, rr_eigenfunction, survival, tilde_phi,
-                        tilde_phi_norm2, ti2, upper_bounds)
+                        residual_norm, rr_eigenfunction, solve_spd, survival,
+                        sym_eig, tilde_phi, tilde_phi_norm2, ti2,
+                        upper_bounds)
 from cauchyspec.halfline import (_F_TABLE, _R_TABLE, PSI_SUP, _f_closed,
                                  _laplace_of_weight, remainder_weight)
 
@@ -229,6 +231,9 @@ INVALID_CALLS = {
     "bracket(True,10)": (bracket, True, 10),
     "bracket(1.5,10)": (bracket, 1.5, 10),
     "assemble_intermediate(2.0)": (assemble_intermediate, 2.0),
+    "sym_eig(0x0)": (sym_eig, np.zeros((0, 0))),
+    "solve_spd(0x0)": (solve_spd, np.zeros((0, 0)), np.zeros(0)),
+    "generalized_sym_eig(0x0)": (generalized_sym_eig, np.zeros((0, 0)), []),
     "rr_eigenfunction(1.0,10)": (rr_eigenfunction, 1.0, 10),
     "heat_kernel_spectral(1,1,1,tol=0)": (heat_kernel_spectral, 1.0, 1.0,
                                           1.0, 0.0),

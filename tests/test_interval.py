@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cauchyspec import (DomainError, QuadratureSpec, bracket,
-                        generator_apply, green_moment, lower_bounds, mu_asymptotic, q_cutoff,
+from cauchyspec import (DegeneratePencil, DomainError, QuadratureSpec,
+                        bracket, generalized_sym_eig, generator_apply,
+                        green_moment, lower_bounds, mu_asymptotic, q_cutoff,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
 from cauchyspec.checks import residual_bound
-from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS,
+from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS, _ritz,
                                  assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry)
 
@@ -333,18 +334,67 @@ def test_lower_bounds_small_basis():
         lower_bounds(1, 3)
 
 
+def _off_parity(n):
+    k = np.arange(n)
+    return (k[:, None] + k[None, :]) % 2 == 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 50, 201])
+def test_ritz_parity_blocks_match_full_matrix(N):
+    # the blocks are solved apart; merged, they are the spectrum of A_N
+    A = assemble_rayleigh_ritz(N)
+    theta, vec = _ritz(N)
+    full = np.linalg.eigvalsh(A)[::-1]
+    assert np.all(np.diff(theta) <= 0.0)
+    assert np.abs(theta - full).max() <= 1e-14 * full[0]
+    assert np.all(np.abs(theta[:10] - full[:10]) <= 1e-14 * full[:10])
+    assert np.abs(vec.T @ vec - np.eye(N)).max() <= 1e-13
+    assert np.linalg.norm(A @ vec - vec * theta, axis=0).max() <= 1e-14 * full[0]
+    # each eigenvector lives on one parity, exactly 0 on the other
+    even = np.all(vec[1::2] == 0.0, axis=0)
+    odd = np.all(vec[0::2] == 0.0, axis=0)
+    assert np.all(even ^ odd)
+    assert even.sum() == (N + 1) // 2
+
+
 def test_lower_bounds_merge_with_trivial_modes():
-    # at N=13 one pencil eigenvalue exceeds K+1 = 15, so the tail of the
-    # merged sequence interleaves the trivial eigenvalues 15, 16, ...
-    from cauchyspec import generalized_sym_eig
-    N = 13
-    _, _, d, S = assemble_intermediate(N)
-    pencil = generalized_sym_eig(S, d)
-    assert pencil.max() > N + 2      # the claim "all < N+2" fails here
-    merged = lower_bounds(N, N + 1)
-    trivial = [float(k) for k in range(N + 2, N + 2 + 2 * N)]
-    expect = sorted(list(pencil) + trivial)[: N + 1]
-    assert np.allclose(merged, expect)
+    # S is exactly 0 off parity, and the pencil solved on its two blocks,
+    # merged with the trivial eigenvalues K+1, K+2, ... (K = N+1), gives the
+    # full pencil's answer.  From N=13 on, one pencil eigenvalue exceeds
+    # K+1, so the tail of the merged sequence interleaves the trivial ones
+    for N in (1, 2, 13, 200):
+        _, _, d, S = assemble_intermediate(N)
+        assert np.all(S[_off_parity(N + 1)] == 0.0)
+        pencil = generalized_sym_eig(S, d)
+        assert (pencil.max() > N + 2) == (N >= 13)
+        trivial = np.arange(N + 2.0, 2.0 * N + 3.0)
+        expect = np.sort(np.concatenate([pencil, trivial]))[:N + 1]
+        merged = lower_bounds(N, N + 1)
+        assert np.all(np.abs(merged - expect) <= 1e-14 * expect)
+
+
+def test_lower_bounds_report_degenerate_block_direction(monkeypatch):
+    # give the even block of S a zero direction along the eigenvector of its
+    # largest theta (lambda_1): lower_bounds warns, drops exactly that
+    # eigenvalue, and returns the others
+    N = 20
+    C, B, d, S = assemble_intermediate(N)
+    dh = np.sqrt(d[0::2])
+    theta, w = np.linalg.eigh(S[0::2, 0::2] / np.outer(dh, dh))
+    theta[-1] = 0.0
+    bad = S.copy()
+    bad[0::2, 0::2] = np.outer(dh, dh) * ((w * theta) @ w.T)
+    even = np.sort(1.0 / theta[:-1])
+    odd = generalized_sym_eig(S[1::2, 1::2], d[1::2])
+    monkeypatch.setattr("cauchyspec.interval.assemble_intermediate",
+                        lambda n: (C, B, d, bad))
+    with pytest.warns(DegeneratePencil, match="has 1 degenerate"):
+        lo = lower_bounds(N, N + 1)
+    assert lo[0] > 2.0                       # lambda_1 ~ 1.158 is gone
+    expect = np.sort(np.concatenate([even, odd,
+                                     np.arange(N + 2.0, 2.0 * N + 3.0)]))
+    assert np.all(np.abs(lo - expect[:N + 1]) <= 1e-13 * expect[:N + 1])
+    assert set(odd[odd < lo[-1]]) <= set(lo)   # the odd block is untouched
 
 
 def test_gram_entries_vs_quadrature():
