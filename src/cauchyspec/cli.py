@@ -8,9 +8,14 @@ configuration: floats are serialized in shortest-round-trip decimal with '.'
 as the separator, lines end in a bare newline, and timestamps are only
 included when explicitly requested with --timestamp.
 
+Each ``cmd_<name>`` takes the parsed parameters and returns the document
+body; ``main`` adds the metadata and writes the document, once.  Parameter
+values are checked only by the rules of :mod:`cauchyspec.errors`: the grid
+and ``n_max`` here, everything else by the library call itself.
+
 Exit codes: 0 success, 1 check failure, 2 mathematical inconsistency
-(bracket inversion), 64 usage error (including parameters the library
-rejects with DomainError).
+(bracket inversion), 64 usage error: an unknown flag, or any parameter value
+that raises DomainError, reported as ``error: <message>`` without output.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .errors import BracketInversion, DomainError
+from .errors import (BracketInversion, DomainError, _finite, _increasing,
+                     _integer)
 
 USAGE_EXIT = 64
 
@@ -34,16 +39,6 @@ def output_schema() -> dict:
     import importlib.resources as resources
     ref = resources.files("cauchyspec").joinpath("schema/output.schema.json")
     return json.loads(ref.read_text())
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-    command: str
-    params: dict
-    fmt: str = "csv"
-    output: str = "-"
-    timestamp: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,48 +58,50 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _meta(cfg: RunConfig) -> dict:
-    meta = {"tool": "cauchyspec", "version": __version__,
-            "command": cfg.command, "config": cfg.params}
-    if cfg.timestamp:
-        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return meta
-
-
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+def _emit(doc: dict, fmt: str, output: str) -> None:
+    meta = doc["meta"]
+    if fmt == "json":
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
         lines = [f"# cauchyspec {__version__}",
-                 f"# command: {cfg.command}",
-                 f"# config: {json.dumps(cfg.params, sort_keys=True)}"]
-        if cfg.timestamp:
-            lines.append(f"# timestamp: {payload['meta']['timestamp']}")
-        if "columns" in payload:
-            lines.append(",".join(payload["columns"]))
-            for row in payload["rows"]:
+                 f"# command: {meta['command']}",
+                 f"# config: {json.dumps(meta['config'], sort_keys=True)}"]
+        if "timestamp" in meta:
+            lines.append(f"# timestamp: {meta['timestamp']}")
+        if "columns" in doc:
+            lines.append(",".join(doc["columns"]))
+            for row in doc["rows"]:
                 lines.append(",".join(_fmt(v) for v in row))
         else:
             lines.append("id,passed,measured,tolerance,detail")
-            for c in payload["checks"]:
+            for c in doc["checks"]:
                 lines.append(",".join(_fmt(c[k]) for k in
                              ("id", "passed", "measured", "tolerance", "detail")))
         text = "\n".join(lines) + "\n"
-    if cfg.output == "-":
+    if output == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", newline="\n") as fh:
+        with open(output, "w", newline="\n") as fh:
             fh.write(text)
 
 
+def _grid(p: dict, lo: str, hi: str) -> np.ndarray:
+    """p["points"] evenly spaced points from p[lo] to p[hi]; DomainError
+    unless there are at least two, strictly increasing and finite."""
+    name = f"the {lo}..{hi} grid"
+    _integer("points", p["points"], 2)
+    _finite(name, [p[lo], p[hi]])
+    return _increasing(name, np.linspace(p[lo], p[hi], p["points"]), 2)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed parameters and returns the document body
 
 
-def cmd_eigs(cfg: RunConfig) -> int:
+def cmd_eigs(p: dict) -> dict:
     from .interval import bracket, lower_bounds, reference_excess, upper_bounds
-    p = cfg.params
     n_max, N, method = p["n_max"], p["basis"], p["method"]
+    _integer("n_max", n_max, 1, N)
     # one sequence per side, None where the method does not compute that side
     if method == "both":
         brackets = bracket(n_max, N)
@@ -114,59 +111,48 @@ def cmd_eigs(cfg: RunConfig) -> int:
         none = [None] * n_max
         los = lower_bounds(N, n_max).tolist() if method == "lower" else none
         ups = upper_bounds(N, n_max).tolist() if method == "upper" else none
-    cols = ["n", "lower", "upper", "midpoint", "reference_contained"]
     rows = []
     for n, lo, up in zip(range(1, n_max + 1), los, ups):
         excess = reference_excess(n, lo, up)
         contained = None if excess is None else excess == 0.0
         mid = 0.5 * (lo + up) if lo is not None and up is not None else None
         rows.append([n, lo, up, mid, contained])
-    _emit(cfg, {"meta": _meta(cfg), "columns": cols, "rows": rows})
-    return 0
+    return {"columns": ["n", "lower", "upper", "midpoint",
+                        "reference_contained"], "rows": rows}
 
 
-def cmd_psi(cfg: RunConfig) -> int:
+def cmd_psi(p: dict) -> dict:
     from .halfline import psi, remainder
-    p = cfg.params
-    xs = np.linspace(p["xmin"], p["xmax"], p["points"])
+    xs = _grid(p, "xmin", "xmax")
     vals, rem = psi(p["lam"], xs), remainder(p["lam"] * xs)
-    rows = [[float(x), float(v), float(r)] for x, v, r in zip(xs, vals, rem)]
-    _emit(cfg, {"meta": _meta(cfg), "columns": ["x", "psi", "remainder"],
-                "rows": rows})
-    return 0
+    return {"columns": ["x", "psi", "remainder"],
+            "rows": [[float(x), float(v), float(r)]
+                     for x, v, r in zip(xs, vals, rem)]}
 
 
-def cmd_heat(cfg: RunConfig) -> int:
+def cmd_heat(p: dict) -> dict:
     from .halfline import heat_kernel_table
-    p = cfg.params
-    xs = np.linspace(p["xmin"], p["xmax"], p["points"])
+    xs = _grid(p, "xmin", "xmax")
     tab = heat_kernel_table(p["t"], xs, xs)
-    rows = [[float(x), float(y), float(tab[i, j])]
-            for i, x in enumerate(xs) for j, y in enumerate(xs)]
-    _emit(cfg, {"meta": _meta(cfg), "columns": ["x", "y", "p_killed"],
-                "rows": rows})
-    return 0
+    return {"columns": ["x", "y", "p_killed"],
+            "rows": [[float(x), float(y), float(tab[i, j])]
+                     for i, x in enumerate(xs) for j, y in enumerate(xs)]}
 
 
-def cmd_exit(cfg: RunConfig) -> int:
+def cmd_exit(p: dict) -> dict:
     from .halfline import exit_law
-    p = cfg.params
-    ts = np.linspace(p["tmin"], p["tmax"], p["points"])
+    ts = _grid(p, "tmin", "tmax")
     dens, surv = exit_law(p["x"], ts)
-    rows = [[float(t), float(d), float(s)]
-            for t, d, s in zip(ts, dens, surv)]
-    _emit(cfg, {"meta": _meta(cfg), "columns": ["t", "density", "survival"],
-                "rows": rows})
-    return 0
+    return {"columns": ["t", "density", "survival"],
+            "rows": [[float(t), float(d), float(s)]
+                     for t, d, s in zip(ts, dens, surv)]}
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(p: dict) -> dict:
     from .checks import run_checks
-    checks = run_checks(cfg.params["level"])
-    passed = all(c["passed"] for c in checks)
-    _emit(cfg, {"meta": _meta(cfg), "level": cfg.params["level"],
-                "passed": passed, "checks": checks})
-    return 0 if passed else 1
+    checks = run_checks(p["level"])
+    return {"level": p["level"], "passed": all(c["passed"] for c in checks),
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -180,80 +166,63 @@ def build_parser() -> _Parser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default="-", help="file path or - for stdout")
-        p.add_argument("--timestamp", action="store_true",
-                       help="include a timestamp (breaks byte-determinism)")
-
     p = sub.add_parser("eigs", help="two-sided eigenvalue bounds")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--basis", type=int, required=True)
     p.add_argument("--method", choices=("upper", "lower", "both"),
                    default="both")
-    common(p)
 
     p = sub.add_parser("psi", help="generalized eigenfunction on a grid")
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--xmin", type=float, default=0.0)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, default=200)
-    common(p)
 
     p = sub.add_parser("heat", help="killed heat kernel table")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, default=20)
-    common(p)
 
     p = sub.add_parser("exit", help="exit-time density and survival")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--points", type=int, default=50)
-    common(p)
 
     p = sub.add_parser("validate", help="run the validation suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    common(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default="-", help="file path or - for stdout")
+        p.add_argument("--timestamp", action="store_true",
+                       help="include a timestamp (breaks byte-determinism)")
     return ap
 
-
-_VALIDATORS = {
-    "eigs": lambda p: (p["n_max"] >= 1 and p["basis"] >= 1
-                       and p["n_max"] <= p["basis"]),
-    "psi": lambda p: p["lam"] > 0 and p["xmin"] >= 0
-                     and p["xmax"] > p["xmin"] and p["points"] >= 2,
-    "heat": lambda p: p["t"] > 0 and 0 < p["xmin"] < p["xmax"]
-                      and p["points"] >= 2,
-    "exit": lambda p: p["x"] > 0 and 0 < p["tmin"] < p["tmax"]
-                      and p["points"] >= 2,
-    "validate": lambda p: True,
-}
 
 _COMMANDS = {"eigs": cmd_eigs, "psi": cmd_psi, "heat": cmd_heat,
              "exit": cmd_exit, "validate": cmd_validate}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = vars(ap.parse_args(argv))
-    command = ns.pop("command")
-    fmt = ns.pop("format")
-    output = ns.pop("output")
-    timestamp = ns.pop("timestamp")
-    if not _VALIDATORS[command](ns):
-        ap.error(f"invalid parameters for {command}: {ns}")
-    cfg = RunConfig(command, ns, fmt, output, timestamp)
+    params = vars(build_parser().parse_args(argv))
+    command, fmt, output, timestamp = map(
+        params.pop, ("command", "format", "output", "timestamp"))
     try:
-        return _COMMANDS[command](cfg)
+        body = _COMMANDS[command](params)
     except BracketInversion as exc:
         sys.stderr.write(f"mathematical inconsistency: {exc}\n")
         return 2
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
+    meta = {"tool": "cauchyspec", "version": __version__,
+            "command": command, "config": params}
+    if timestamp:
+        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    _emit({"meta": meta, **body}, fmt, output)
+    return 0 if body.get("passed", True) else 1
 
 
 if __name__ == "__main__":

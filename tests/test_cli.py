@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -80,22 +81,56 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "cauchyspec.cli", "eigs", "--n-max", "5",
          "--basis", "3"], capture_output=True, text=True)
     assert proc.returncode == 64
+    assert proc.stderr.startswith("error: n_max")
 
 
-@pytest.mark.parametrize("args", [
-    ["psi", "--lam", "inf", "--xmax", "5"],
-    ["psi", "--lam", "1", "--xmax", "inf"],
-    ["heat", "--t", "inf", "--xmin", ".3", "--xmax", "2", "--points", "2"],
-    ["exit", "--x", "inf", "--tmin", ".1", "--tmax", "1"],
-    ["exit", "--x", "1", "--tmin", ".1", "--tmax", "inf"],
-], ids=["psi-lam", "psi-xmax", "heat-t", "exit-x", "exit-tmax"])
-def test_domain_error_is_usage_error(args):
-    # parameters that pass the CLI's own checks but that the library
-    # rejects are usage errors too, reported without a traceback
-    proc = subprocess.run([sys.executable, "-m", "cauchyspec.cli", *args],
-                          capture_output=True, text=True)
-    assert proc.returncode == 64
-    assert "Traceback" not in proc.stderr
+# every rule the CLI's parameters must follow, whether the grid helper or
+# the library enforces it; each must exit 64 with the DomainError message
+USAGE_CASES = {
+    "psi-lam": ["psi", "--lam", "inf", "--xmax", "5"],
+    "psi-xmax": ["psi", "--lam", "1", "--xmax", "inf"],
+    "heat-t": ["heat", "--t", "inf", "--xmin", ".3", "--xmax", "2",
+               "--points", "2"],
+    "exit-x": ["exit", "--x", "inf", "--tmin", ".1", "--tmax", "1"],
+    "exit-tmax": ["exit", "--x", "1", "--tmin", ".1", "--tmax", "inf"],
+    "eigs-n-max-0": ["eigs", "--n-max", "0", "--basis", "5",
+                     "--method", "upper"],
+    "eigs-n-max-over-basis": ["eigs", "--n-max", "5", "--basis", "3"],
+    "eigs-lower-n-max-over-basis": ["eigs", "--n-max", "4", "--basis", "3",
+                                    "--method", "lower"],
+    "eigs-basis-0": ["eigs", "--n-max", "1", "--basis", "0"],
+    "psi-lam-0": ["psi", "--lam", "0", "--xmax", "5"],
+    "psi-xmin-negative": ["psi", "--lam", "1", "--xmin", "-1", "--xmax", "5"],
+    "psi-empty-range": ["psi", "--lam", "1", "--xmin", "5", "--xmax", "5"],
+    "psi-points-1": ["psi", "--lam", "1", "--xmax", "5", "--points", "1"],
+    "psi-points-negative": ["psi", "--lam", "1", "--xmax", "5",
+                            "--points", "-1"],
+    "psi-xmax-nan": ["psi", "--lam", "1", "--xmax", "nan"],
+    "heat-t-0": ["heat", "--t", "0", "--xmin", ".3", "--xmax", "2"],
+    "heat-xmin-0": ["heat", "--t", "1", "--xmin", "0", "--xmax", "2"],
+    "heat-reversed": ["heat", "--t", "1", "--xmin", "2", "--xmax", "1"],
+    "heat-points-1": ["heat", "--t", "1", "--xmin", ".3", "--xmax", "2",
+                      "--points", "1"],
+    "heat-xmin-nan": ["heat", "--t", "1", "--xmin", "nan", "--xmax", "2"],
+    "exit-x-0": ["exit", "--x", "0", "--tmin", ".1", "--tmax", "1"],
+    "exit-tmin-0": ["exit", "--x", "1", "--tmin", "0", "--tmax", "1"],
+    "exit-reversed": ["exit", "--x", "1", "--tmin", "1", "--tmax", ".1"],
+    "exit-points-1": ["exit", "--x", "1", "--tmin", ".1", "--tmax", "1",
+                      "--points", "1"],
+    "exit-tmin-nan": ["exit", "--x", "1", "--tmin", "nan", "--tmax", "1"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_CASES.values(), ids=USAGE_CASES)
+def test_domain_error_is_usage_error(args, tmp_path, capsys):
+    # rejected before any output: no traceback, no warning, no file
+    path = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*args, "--output", str(path)])
+    assert code == 64
+    assert capsys.readouterr().err.startswith("error:")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -103,10 +138,11 @@ def test_domain_error_is_usage_error(args):
     ["eigs", "--n-max", "2", "--basis", "10", "--digits", "50"],
     ["eigs", "--n-max", "2", "--basis", "10", "--precision-mode", "machine"],
 ], ids=["frobnicate", "digits", "precision-mode"])
-def test_unknown_flag_rejected(args):
-    proc = subprocess.run([sys.executable, "-m", "cauchyspec.cli", *args],
-                          capture_output=True, text=True)
-    assert proc.returncode == 64
+def test_unknown_flag_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_eigs_csv_contains_references(tmp_path):

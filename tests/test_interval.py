@@ -127,6 +127,14 @@ def test_residual_bound_n4():
 
 
 @pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason="generator_apply accepts rounding "
+                   "noise of the folded quotient at the Gauss nodes next to "
+                   "the kink at 0: residual_norm(12) returns ~2e3")
+def test_residual_bound_n12():
+    assert residual_norm(12) <= residual_bound(12)
+
+
+@pytest.mark.slow
 def test_residual_localizes_eigenvalues():
     # the nearest eigenvalue to mu_n lies within the relative residual:
     # |lambda_n - mu_n| <= ||(gen + mu_n) phi~_n|| / ||phi~_n||
