@@ -29,6 +29,19 @@ exit-law integrand, is read on 1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s
 (4 panels per decade, degree 16), within 1e-14 relative of its closed
 form through Ti2 and several times cheaper per point.
 
+Working set: every large evaluation runs in blocks of _TABLE_BLOCK (32768)
+points.  A table read runs each block's Clenshaw recurrence in place in
+three arrays, the Laplace rule takes 17 points (one table panel) per block
+of its exponential matrix, and :func:`pi_transform` allocates one kernel
+matrix for blocks of at most 4e6 (node, output) pairs, filled in place a
+table block at a time through ``_psi``; that matrix and the buffers are
+all the memory a transform holds, so it peaks near 8 bytes per pair of a
+block.  Table reads, psi and the transform are elementwise up to that one
+matrix product per block, so their blocks leave every bit as the
+whole-array formula gives it; the rule's matrix-vector product sums in an
+order that depends on the rows of its block, so r off the tables can move
+in the last bit with the size of the batch.
+
 Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
 the exit density f(s/x)/s over (0, t_1), (t_1, t_2), ... form one batch of
@@ -70,6 +83,7 @@ __all__ = [
 _PI = math.pi
 _SQ2_2PI = math.sqrt(2.0) / (2.0 * _PI)
 _SIN_PI8 = math.sin(_PI / 8.0)
+_TINY = float(np.finfo(float).tiny)     # smallest normal float
 
 #: uniform bound on |psi|, used in spectral truncation (true sup is < 1.14)
 PSI_SUP = 1.14
@@ -132,6 +146,10 @@ def _tail(x: np.ndarray, T: float) -> np.ndarray:
             - 2.0 * np.sqrt(_PI * x) * erfc(np.sqrt(x) * rT))
 
 
+#: points per block of a table evaluation, which bounds its temporaries
+_TABLE_BLOCK = 1 << 15
+
+
 def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     """int_0^inf w(t) e^{-t x} dt for a batch of x > 0.
 
@@ -147,24 +165,27 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     t, wt, T, amp = _laplace_rule()
     xr = np.minimum(x, 1e3 / _RULE_LO)
     out = np.empty_like(x)
-    block = 2048
+    block = _TABLE_BLOCK // t.size       # 17 rows: one panel of _R_TABLE
+    e = np.empty((min(block, x.size), t.size))
     for i in range(0, x.size, block):
-        out[i:i + block] = np.exp(-np.outer(xr[i:i + block], t)) @ wt
+        xb = xr[i:i + block]
+        eb = e[:xb.size]
+        np.multiply(xb[:, None], t, out=eb)
+        np.negative(eb, out=eb)
+        out[i:i + block] = np.exp(eb, out=eb) @ wt
     return out + amp * _tail(xr, T) + _head(x)
-
-
-#: points per block of a table evaluation, which bounds its temporaries
-_TABLE_BLOCK = 1 << 15
 
 
 class _LogChebTable:
     """A function fn, read on lo < x < hi from piecewise-Chebyshev
     interpolants of g = scale * fn in u = log x: per_decade panels per
     decade (lo and hi a whole number of decades apart), one interpolant of
-    the given degree each.
+    the given degree (at least 2) each.
 
-    On first use g is sampled at first-kind Chebyshev points one panel at a
-    time.  The DCT-II of all panels is one real FFT of their even
+    On first use g is sampled at the first-kind Chebyshev points of all
+    panels in one call of fn; the Laplace rule of r runs in blocks of one
+    panel's 17 points, so each sample is the one a call per panel gives.
+    The DCT-II of all panels is one real FFT of their even
     extensions, each coefficient k turned by e^{-i pi k/(2m)} (the basis is
     not formed by recurrence, whose rounding would cost a digit).  When g
     is bounded and analytic in u the interpolants converge geometrically to
@@ -184,17 +205,21 @@ class _LogChebTable:
     def cols(self) -> tuple[np.ndarray, ...]:
         m = self.degree + 1
         s = np.cos(_PI * (np.arange(m) + 0.5) / m)
-        g = np.empty((self.panels, m))
-        for k in range(self.panels):
-            x = np.exp(self.u0 + self.h * (k + 0.5 * (s + 1.0)))
-            g[k] = self.scale(x) * self.fn(x)
+        k = np.arange(self.panels)[:, None]
+        x = np.exp(self.u0 + self.h * (k + 0.5 * (s + 1.0))).ravel()
+        g = (self.scale(x) * self.fn(x)).reshape(self.panels, m)
         ext = np.fft.rfft(np.concatenate((g, g[:, ::-1]), axis=1))[:, :m]
         coef = (ext * np.exp(-0.5j * _PI * np.arange(m) / m)).real / m
         coef[:, 0] *= 0.5
         return tuple(np.ascontiguousarray(col) for col in coef.T)
 
     def read(self, x: np.ndarray) -> np.ndarray:
-        """fn(x) for lo < x < hi, by Clenshaw on the panel of each point."""
+        """fn(x) for lo < x < hi, by Clenshaw on the panel of each point,
+        _TABLE_BLOCK points at a time.  The recurrence
+        b1 <- c_j + 2s b1 - b2 runs in place in b1, b2 and t (which is free
+        once the panel k and 2s are read off it), one gathered c_j being
+        the only new array of a step; its first step, where b2 = 0, skips
+        the subtraction.  Every bit is as in the plain form."""
         cols = self.cols
         out = np.empty_like(x)
         for i in range(0, x.size, _TABLE_BLOCK):
@@ -204,12 +229,17 @@ class _LogChebTable:
             # of the range, x = hi, has t = panels, one past the last panel
             k = np.minimum(t.astype(np.intp), self.panels - 1)
             s2 = 4.0 * (t - k) - 2.0                 # 2 s, s in [-1, 1]
-            b1 = cols[-1][k]
-            b2 = np.zeros_like(xb)
-            for col in cols[-2:0:-1]:
-                b1, b2 = col[k] + s2 * b1 - b2, b1
-            g = cols[0][k] + 0.5 * s2 * b1 - b2
-            out[i:i + _TABLE_BLOCK] = g / self.scale(xb)
+            b2 = cols[-1][k]
+            b1 = s2 * b2
+            b1 += cols[-2][k]
+            for col in cols[-3:0:-1]:
+                np.multiply(s2, b1, t)
+                t += col[k]
+                b1, b2 = np.subtract(t, b2, b2), b1
+            np.multiply(0.5 * s2, b1, t)
+            t += cols[0][k]
+            t -= b2
+            out[i:i + _TABLE_BLOCK] = t / self.scale(xb)
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -260,11 +290,14 @@ def _remainder(x: np.ndarray) -> np.ndarray:
     return _R_TABLE(x)
 
 
-def _psi(x: np.ndarray) -> np.ndarray:
+def _psi(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """psi(1, x) on a float array of finite x, unchecked: sin(x + pi/8) - r(x)
     on the whole array (r at |x| if some x <= 0), then 0 where x <= 0, which
-    is cheaper than gathering the positive points."""
-    out = np.sin(x + _PI / 8.0) - _remainder(
+    is cheaper than gathering the positive points.  The sine and the
+    difference are formed in one array: ``out``, of x's shape and apart from
+    x, when it is given."""
+    out = np.sin(np.add(x, _PI / 8.0, out=out), out=out)
+    out -= _remainder(
         np.abs(x).ravel() if (x <= 0.0).any() else x.ravel()).reshape(x.shape)
     out[x <= 0.0] = 0.0
     return out
@@ -273,9 +306,12 @@ def _psi(x: np.ndarray) -> np.ndarray:
 def psi(lam: float, x):
     """Generalized eigenfunction psi(lam, x) = sin(lam x + pi/8) - r(lam x)
     for x > 0, and 0 for x <= 0.  Scales as psi(lam, x) = psi(1, lam*x).
-    lam must be positive and every lam*x finite."""
+    lam must be positive and every lam*x finite; a product that overflows
+    is rejected by that rule alone, with no numpy warning."""
     _positive("lam", lam)
-    return _scalar_or_array(_psi, _finite("psi", lam * np.asarray(x, float)))
+    with np.errstate(over="ignore"):
+        lx = lam * np.asarray(x, float)
+    return _scalar_or_array(_psi, _finite("psi", lx))
 
 
 def laplace_psi(lam: float, z: complex) -> complex:
@@ -339,11 +375,21 @@ def _f_over_s(s, x: float):
     return out
 
 
+def _check_exit(x: float, t) -> None:
+    """DomainError unless x and every t are positive and finite and so is
+    every t/x, the one argument the exit law depends on (density(x, t) =
+    density(1, t/x)/x); an overflowing t/x is rejected by that rule, with
+    no numpy warning."""
+    _positive("x and t", x, t)
+    with np.errstate(over="ignore"):
+        _finite("exit law (t/x)", np.asarray(t, float) / x)
+
+
 def exit_density(x: float, t):
     """Density of the first exit time from (0, inf) started at x:
     f(t/x)/t.  Scales as density(x, t) = density(1, t/x)/x.  x and every t
-    must be positive and finite."""
-    _positive("x and t", x, t)
+    must be positive and finite, and every t/x finite."""
+    _check_exit(x, t)
     return _scalar_or_array(lambda s: _f_over_s(s, x), t)
 
 
@@ -352,22 +398,26 @@ def _survival(x: float, ts, tol: float) -> np.ndarray:
     of the exit-density masses of (0, t_1), (t_1, t_2), ..., one batch of
     integrals to tolerance tol.  The decades of x seed the first interval:
     the s^(-3/2) tail of f(s/x)/s sits within a few multiples of x, where
-    the nodes of one wide panel [x, t_1] would never look."""
+    the nodes of one wide panel [x, t_1] would never look.  For the same
+    reason the decades t_i 10^k inside (t_i, t_{i+1}) seed each later
+    interval, whose mass sits near t_i; an interval less than a decade wide
+    has none."""
     edges = [0.0, *ts]
-    decades = [x * 10.0**k for k in range(int(math.log10(ts[0] / x)) + 1)]
+    seeds = [[x * 10.0**k for k in range(int(math.log10(ts[0] / x)) + 1)]]
+    seeds += [[a * 10.0**k for k in range(1, int(math.log10(b / a)) + 1)]
+              for a, b in zip(ts[:-1], ts[1:])]
     masses = integrate_many(lambda s, rows: _f_over_s(s, x),
                             list(zip(edges[:-1], edges[1:])),
-                            QuadratureSpec(abs_tol=tol, rel_tol=tol),
-                            [decades] + [()] * (len(ts) - 1))
+                            QuadratureSpec(abs_tol=tol, rel_tol=tol), seeds)
     return np.clip(1.0 - np.cumsum(masses), 0.0, 1.0)
 
 
 def survival(x: float, t: float) -> float:
     """P(exit time > t) for the process started at x > 0:
     1 - int_0^t f(s/x)/s ds, integrated to 1e-12.  Decreasing in t, between
-    0 and 1, and at least (2/pi) arctan(x/t); x and t must be positive and
-    finite."""
-    _positive("x and t", x, t)
+    0 and 1, and at least (2/pi) arctan(x/t); x, t and t/x must be positive
+    and finite."""
+    _check_exit(x, t)
     return float(_survival(x, [t], 1e-12)[0])
 
 
@@ -389,7 +439,29 @@ def _heat_kernels(t: float, x: np.ndarray, y: np.ndarray,
         return fab[:len(s)] * fab[len(s):] / (s * yr + (t - s) * xr)
 
     corr = integrate_many(integrand, [(0.0, t)] * x.size, spec)
-    return t / (_PI * (t * t + (x - y) ** 2)) - corr
+    return _free_kernel(t, x - y) - corr
+
+
+def _free_kernel(t: float, d: np.ndarray) -> np.ndarray:
+    """The free Cauchy kernel p_t(d) = t / (pi (t^2 + d^2)) for t > 0 on a
+    float array of finite d, by that formula wherever pi (t^2 + d^2) is a
+    finite normal number.  Elsewhere t^2 has underflowed (tiny t near the
+    diagonal) or d^2 overflowed (far off it), and the value is
+    (t/a) / (pi a) / (1 + (b/a)^2) with a = max(t, |d|) and b = min(t, |d|):
+    at most 1/(pi t), which it is at d = 0, and finite wherever 1/(pi t) is
+    below the largest float."""
+    with np.errstate(over="ignore"):
+        den = _PI * (t * t + d * d)
+    out = np.empty_like(d)
+    ok = (den >= _TINY) & (den < math.inf)
+    out[ok] = t / den[ok]
+    if not ok.all():
+        ad = np.abs(d[~ok])
+        a, r = np.maximum(ad, t), np.minimum(ad, t)
+        r /= a
+        with np.errstate(over="ignore"):
+            out[~ok] = t / a / (_PI * a) / (1.0 + r * r)
+    return out
 
 
 def heat_kernel(t: float, x: float, y, spec: QuadratureSpec | None = None):
@@ -455,6 +527,14 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray) -> GridFunction:
     grid-dependent and must be measured, not assumed.  A negative input
     node, or output nodes other than a strictly increasing 1-D array of at
     least two finite, positive points, raise :class:`DomainError`.
+
+    The kernel psi(lam_i, x_j) is one matrix per block of at most 4e6
+    (node, output) pairs, so ``coef @ K`` is one BLAS product per block;
+    the matrix is allocated once, at the size of the first block, and
+    filled in place _TABLE_BLOCK entries at a time (:func:`_fill_psi`).
+    The working set is that matrix plus buffers of _TABLE_BLOCK points:
+    at 2001 nodes and 916 outputs the traced peak is 16.2 MiB, of which
+    the matrix is 14 MiB.
     """
     _finite("input nodes", f.nodes, low=0.0)
     out = _increasing("output nodes", out_nodes, 2)
@@ -466,9 +546,29 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray) -> GridFunction:
     coef = f.weights * f.values
     vals = np.empty_like(out)
     block = max(1, int(4e6 / max(f.nodes.size, 1)))
+    buf = np.empty(f.nodes.size * min(block, out.size))
     for i in range(0, out.size, block):
-        vals[i:i + block] = coef @ _psi(np.outer(f.nodes, out[i:i + block]))
+        ob = out[i:i + block]
+        K = buf[:f.nodes.size * ob.size].reshape(f.nodes.size, ob.size)
+        vals[i:i + block] = coef @ _fill_psi(K, f.nodes, ob)
     return GridFunction.from_samples(out, vals)
+
+
+def _fill_psi(K: np.ndarray, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K[i, j] = psi(lam_i, x_j) for a (len(lam), len(x)) array K, filled in
+    place _TABLE_BLOCK elements at a time (whole rows, or pieces of one row
+    when a row is longer): each piece of lam x runs through :func:`_psi`
+    into K from one reused buffer.  Returns K."""
+    rows = max(1, _TABLE_BLOCK // x.size)
+    width = min(x.size, _TABLE_BLOCK)
+    buf = np.empty(min(rows, lam.size) * width)
+    for i in range(0, lam.size, rows):
+        lb = lam[i:i + rows, None]
+        for j in range(0, x.size, width):
+            xb = x[j:j + width]
+            prod = buf[:lb.size * xb.size].reshape(lb.size, xb.size)
+            _psi(np.multiply(lb, xb, out=prod), out=K[i:i + rows, j:j + width])
+    return K
 
 
 def heat_kernel_table(t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -500,5 +600,5 @@ def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     running sum of the exit-density masses between consecutive times, each
     integrated to 1e-10, so the two columns are consistent by construction."""
     ts = _increasing("ts", ts, 1)
-    dens = exit_density(x, ts)        # checks that x and ts are positive
+    dens = exit_density(x, ts)        # checks x, ts and ts/x
     return dens, _survival(x, ts.tolist(), 1e-10)

@@ -118,6 +118,12 @@ USAGE_CASES = {
     "exit-points-1": ["exit", "--x", "1", "--tmin", ".1", "--tmax", "1",
                       "--points", "1"],
     "exit-tmin-nan": ["exit", "--x", "1", "--tmin", "nan", "--tmax", "1"],
+    # lam*x and t/x that overflow: rejected by the finite rule, no warning
+    "psi-lam-x-overflow": ["psi", "--lam", "1e300", "--xmax", "1e10"],
+    "exit-t-over-x-overflow": ["exit", "--x", "1e-300", "--tmin", "1e-300",
+                               "--tmax", "1e300", "--points", "3"],
+    "exit-subnormal-x": ["exit", "--x", "1e-320", "--tmin", "1e-5",
+                         "--tmax", "1", "--points", "3"],
 }
 
 
@@ -226,6 +232,24 @@ def test_heat_table_symmetric(tmp_path):
         assert 0.0 <= v <= 1.0 / math.pi + 1e-12   # 1/(pi t) cap at t = 1
     for (x, y), v in vals.items():
         assert v == pytest.approx(vals[(y, x)], abs=1e-12)
+
+
+def test_heat_tiny_t_finite(tmp_path):
+    # t*t underflows to 0 on the diagonal and (x-y)^2 overflows far off it;
+    # the kernel stays finite and at most 1/(pi t), with no numpy warning
+    t = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["heat", "--t", repr(t), "--xmin", "1",
+                              "--xmax", "1e300", "--points", "3",
+                              "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 9
+    for x, y, v in rows:
+        assert math.isfinite(v) and 0.0 <= v <= 1.0 / (math.pi * t)
+        if x == y:
+            assert v == 1.0 / (math.pi * t)
 
 
 def test_exit_table_consistency(tmp_path):

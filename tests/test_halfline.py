@@ -18,7 +18,8 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         sym_eig, tilde_phi, tilde_phi_norm2, ti2,
                         upper_bounds)
 from cauchyspec.halfline import (_F_TABLE, _R_TABLE, PSI_SUP, _f_closed,
-                                 _laplace_of_weight, remainder_weight)
+                                 _free_kernel, _laplace_of_weight,
+                                 remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -103,6 +104,32 @@ def test_remainder_table_top_edge_index():
     table = _R_TABLE.read(xs)
     assert np.all(np.abs(table / _laplace_of_weight(xs) - 1.0) <= TABLE_RTOL)
     assert np.all(remainder(xs[:2]) == table[:2])
+
+
+def _clenshaw_reference(table, x):
+    """The table's Clenshaw sum on a 1-D x in one pass, each step a fresh
+    array: the plain form of the blocked, in-place loop of ``read``."""
+    cols = table.cols
+    t = (np.log(x) - table.u0) / table.h
+    k = np.minimum(t.astype(np.intp), table.panels - 1)
+    s2 = 4.0 * (t - k) - 2.0
+    b1, b2 = cols[-1][k], np.zeros_like(x)
+    for col in cols[-2:0:-1]:
+        b1, b2 = col[k] + s2 * b1 - b2, b1
+    return (cols[0][k] + 0.5 * s2 * b1 - b2) / table.scale(x)
+
+
+@pytest.mark.parametrize("table", [_R_TABLE, _F_TABLE], ids=["r", "f"])
+def test_table_read_is_plain_clenshaw(table):
+    # the same arithmetic in the same order: equal bit for bit, for one
+    # point, a 15-point batch, a 2-D batch and more than one block
+    xs = np.geomspace(table.lo, table.hi, 70001)[1:-1]
+    assert np.array_equal(table.read(xs), _clenshaw_reference(table, xs))
+    for x in (xs[:1], xs[::4667]):
+        assert np.array_equal(table.read(x), _clenshaw_reference(table, x))
+    grid = xs[:600].reshape(40, 15)
+    ref = _clenshaw_reference(table, grid.ravel()).reshape(grid.shape)
+    assert np.array_equal(table.read(grid), ref)
 
 
 #: largest relative deviation of the f table from the closed form
@@ -307,6 +334,34 @@ def test_survival_far_horizon_converges():
         dens, surv = exit_law(1e-300, [1.0, 2.0])
     assert np.all(np.isfinite(dens)) and np.all(np.abs(surv) <= 1e-10)
     assert np.all((0.0 <= surv) & (surv <= 1.0))
+
+
+def test_survival_across_wide_time_steps():
+    # the mass of (t_i, t_i+1) sits near t_i, where the nodes of one wide
+    # panel see only rounded-off zeros, so survival needs its decades there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, surv = exit_law(1.0, [1.0, 5e99, 1e100])
+        _, tiny = exit_law(1e-300, [1e-300, 5e7, 1e8])
+    assert surv[0] == pytest.approx(survival(1.0, 1.0), abs=1e-10)
+    assert np.all(surv[1:] <= 1e-10) and np.all(tiny[1:] <= 1e-10)
+
+
+def test_free_kernel_formula_kept_in_range():
+    # where t^2 and d^2 stay normal the closed form is the plain formula
+    # bit for bit (perfbench's heat.below_free_kernel compares with it at
+    # tolerance 0); the rescaled branch serves only underflow and overflow
+    d = np.concatenate((np.linspace(-50.0, 50.0, 201), [1e-100, 1e100]))
+    for t in (1e-3, 0.7, 1.0, 250.0):
+        assert np.array_equal(_free_kernel(t, d),
+                              t / (math.pi * (t * t + d ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = _free_kernel(1e-300, np.array([0.0, 1e-300, 1.0, 1e300]))
+    assert edge[0] == 1.0 / (math.pi * 1e-300)
+    assert edge[1] == pytest.approx(0.5 / (math.pi * 1e-300), rel=1e-15)
+    assert edge[2] == pytest.approx(1e-300 / math.pi, rel=1e-15)
+    assert edge[3] == 0.0
 
 
 def test_exit_kernel_finite_at_large_arguments():

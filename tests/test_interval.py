@@ -252,13 +252,66 @@ def test_float_assembly_matches_exact_oracle(N):
     assert np.abs(A - exact).max() <= 1e-14 * np.linalg.norm(exact, 2)
 
 
+def gauss_legendre_newton(n):
+    """The n-point Gauss-Legendre rule for int_0^1 g(s) ds, built without
+    numpy's leggauss and apart from the library's Fejer rule.  Its nodes
+    x = cos(theta) are symmetric, so theta runs over (0, pi/2] alone: from
+    Tricomi's pi (k - 1/4)/(n + 1/2) it is polished by Newton steps on
+    P_n(cos theta), with P_m and D_m = P_m - P_{m-1} from the recurrence
+    D_{m+1} = (m D_m - (2m+1) y P_m)/(m+1) in y = 1 - x = 2 sin^2(theta/2),
+    which stays accurate where x nears 1.  It runs in long double (64-bit
+    mantissa on x86), whose rounding the recurrence's growth of about n ulps
+    keeps below a float64 ulp.  The weights sin^2(theta)/(n P_{n-1})^2 and
+    the nodes s = cos^2(theta/2), and sin^2(theta/2) for the mirror image,
+    are read off theta, so that nothing cancels near the ends.  Returns
+    float64 (s, weights)."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    k = np.arange(1, (n + 1) // 2 + 1, dtype=ld)
+    theta = pi * (k - ld(0.25)) / (n + ld(0.5))
+
+    def legendre(theta):
+        y = 2 * np.sin(theta / 2) ** 2
+        p, d = 1 - y, -y                             # P_1 and P_1 - P_0
+        for m in range(1, n):
+            d = (m * d - (2 * m + 1) * y * p) / (m + 1)
+            p = p + d
+        return p, d, y                               # P_n, P_n - P_{n-1}
+
+    for _ in range(8):
+        p, d, y = legendre(theta)
+        theta = theta + p * np.sin(theta) / (n * (y * p - d))
+    p, d, _ = legendre(theta)
+    w = (np.sin(theta) / (n * (p - d))) ** 2   # half the weight on [-1, 1]
+    half = theta[:n // 2][::-1]                      # all but a middle node
+    s = np.concatenate((np.cos(theta / 2) ** 2, np.sin(half / 2) ** 2))
+    return s.astype(float), np.concatenate((w, w[:n // 2][::-1])).astype(float)
+
+
+def test_newton_gauss_rule_matches_mpmath():
+    # a few nodes and weights of the reference rule of assemble_theta_grid,
+    # against Newton's method on P_n at 40 digits
+    mp = pytest.importorskip("mpmath")
+    n = 402
+    s, w = gauss_legendre_newton(n)
+    with mp.workdps(40):
+        for k in (0, 1, n // 2, n - 1):
+            x = 2 * mp.mpf(float(s[k])) - 1
+            for _ in range(3):
+                p, q = mp.legendre(n, x), mp.legendre(n - 1, x)
+                x -= p * (x * x - 1) / (n * (x * p - q))
+            wk = (1 - x * x) / (n * mp.legendre(n - 1, x)) ** 2
+            assert abs(s[k] - (1 + x) / 2) <= 1.2e-16 * ((1 + x) / 2)
+            assert abs(w[k] - wk) <= 1.2e-16 * wk
+
+
 def assemble_theta_grid(N):
     """The same matrix from a direct average over theta: P_m by its
     three-term recurrence on the grid z = s cos(theta) of N+2 Gauss points
-    in s and N//2+2 midpoints in theta, which integrate every entry exactly.
-    An independent float reference at sizes the exact oracle cannot reach."""
-    x, w = np.polynomial.legendre.leggauss(N + 2)
-    s = 0.5 * (x + 1.0)
+    in s (:func:`gauss_legendre_newton`) and N//2+2 midpoints in theta,
+    which integrate every entry exactly.  An independent float reference at
+    sizes the exact oracle cannot reach, sharing no rule with the library."""
+    s, w = gauss_legendre_newton(N + 2)
     n_t = N // 2 + 2
     cos_t = np.cos((np.arange(n_t) + 0.5) * (PI / n_t))
     z = s[:, None] * cos_t[None, :]
@@ -268,7 +321,7 @@ def assemble_theta_grid(N):
     for m in range(N):
         U[m] = p @ theta_avg[m % 2]
         p_prev, p = p, ((2 * m + 1) * z * p - m * p_prev) / (m + 1)
-    A = (U * (0.5 * w * s)) @ U.T
+    A = (U * (w * s)) @ U.T
     nu = np.sqrt(np.arange(N) + 0.5)
     A = PI * 0.5 * (A + A.T) * np.outer(nu, nu)
     k = np.arange(N)

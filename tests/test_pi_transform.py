@@ -5,6 +5,7 @@ registry check ``plancherel`` and acceptance criterion 7
 (``tests/test_acceptance.py``).
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,3 +39,34 @@ def test_pi_transform_uses_psi_unchanged():
     kernel = np.array([psi(l, out) for l in lam])
     assert np.array_equal(pi_transform(f, out).values,
                           (f.weights * f.values) @ kernel)
+
+
+def test_pi_transform_in_blocks():
+    # 40 nodes by 120000 outputs: two kernel blocks, the second narrower,
+    # each row filled in pieces of a table block; against the sum over
+    # input nodes of w_i f_i psi(lam_i, x), one row at a time
+    lam = np.linspace(1.0, 1.02, 40)
+    f = GridFunction.from_samples(lam, np.cos(lam))
+    out = np.linspace(0.01, 19.0, 120000)
+    coef = f.weights * f.values
+    ref = sum(c * psi(l, out) for c, l in zip(coef, lam))
+    assert np.abs(pi_transform(f, out).values - ref).max() <= (
+        1e-14 * np.abs(coef).sum())
+
+
+def test_pi_transform_working_set():
+    # the kernel matrix of a block is filled in place a table block at a
+    # time, so the traced peak is that matrix (2001 x 916 doubles, 14 MiB)
+    # plus buffers of a table block; whole-block temporaries would triple it
+    lam = np.linspace(1.0, 2.0, 2001)
+    f = GridFunction.from_samples(lam, bump(lam))
+    out = np.arange(math.pi / 24.0, 120.0, math.pi / 24.0)
+    pi_transform(f, out[:5])                 # builds the remainder table
+    tracemalloc.start()
+    try:
+        pi_transform(f, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == 916
+    assert peak <= 20 * 2**20
