@@ -14,8 +14,9 @@ values are checked only by the rules of :mod:`cauchyspec.errors`: the grid
 and ``n_max`` here, everything else by the library call itself.
 
 Exit codes: 0 success, 1 check failure, 2 mathematical inconsistency
-(bracket inversion), 64 usage error: an unknown flag, or any parameter value
-that raises DomainError, reported as ``error: <message>`` without output.
+(bracket inversion), 64 usage error: an unknown flag, any parameter value
+that raises DomainError or an inf or NaN result in JSON, which cannot hold
+it, reported as ``error: <message>`` without output.
 """
 
 from __future__ import annotations
@@ -61,7 +62,12 @@ def _fmt(v) -> str:
 def _emit(doc: dict, fmt: str, output: str) -> None:
     meta = doc["meta"]
     if fmt == "json":
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(doc, indent=1, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError:
+            raise DomainError("an inf or NaN result has no JSON form; "
+                              "use --format csv") from None
     else:
         lines = [f"# cauchyspec {__version__}",
                  f"# command: {meta['command']}",
@@ -209,19 +215,19 @@ def main(argv=None) -> int:
     params = vars(build_parser().parse_args(argv))
     command, fmt, output, timestamp = map(
         params.pop, ("command", "format", "output", "timestamp"))
+    meta = {"tool": "cauchyspec", "version": __version__,
+            "command": command, "config": params}
+    if timestamp:
+        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         body = _COMMANDS[command](params)
+        _emit({"meta": meta, **body}, fmt, output)
     except BracketInversion as exc:
         sys.stderr.write(f"mathematical inconsistency: {exc}\n")
         return 2
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    meta = {"tool": "cauchyspec", "version": __version__,
-            "command": command, "config": params}
-    if timestamp:
-        meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _emit({"meta": meta, **body}, fmt, output)
     return 0 if body.get("passed", True) else 1
 
 

@@ -19,6 +19,11 @@ scalar integrand getting the nodes as a flat 1-D array.  The cost of a pass
 is one integrand call however many integrals it advances, which is what
 keeps the many small integrals of the kernel and generator code cheap.
 
+A per-integral error is QUADPACK's estimate, not a bound: for
+exp(-x^2) sin(3x) + x on [1.7488, 5.9125], whose linear part both rules
+integrate exactly, the one 15-point panel reports 4.99e-12 where the true
+error is 5.80e-11.
+
 All routines are pure: results depend only on the integrand, the domain and
 the :class:`QuadratureSpec`, never on evaluation order or thread count.
 """
@@ -126,7 +131,7 @@ class GridFunction:
         return cls(nodes, values, np.append(h, 0.0) + np.insert(h, 0, 0.0))
 
     def inner(self, other: "GridFunction") -> float:
-        if self.nodes.shape != other.nodes.shape or not np.allclose(self.nodes, other.nodes):
+        if not np.array_equal(self.nodes, other.nodes):
             raise DomainError("grid functions live on different grids")
         return float((self.values * other.values * self.weights).sum())
 
@@ -291,12 +296,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     cannot see features far below its first panel's nodes.  A complex
     ``f`` gets a complex result, with the error measured in modulus.  This
     is :func:`integrate_many` for one domain, with ``f`` given the nodes as
-    a flat 1-D array.
+    a flat 1-D array.  The tolerance bounds an error estimate, not the error.
 
-    Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``
-    attached) if the budget of subdivisions is exhausted first or the
-    estimate turns NaN, and :class:`DomainError` for a NaN limit, a limit
-    of -inf or a doubly infinite domain.
+    Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``,
+    that error estimate, attached) if the budget of subdivisions is
+    exhausted first or the estimate turns NaN, and :class:`DomainError`
+    for a NaN limit, a limit of -inf or a doubly infinite domain.
     """
     def flat(x, rows):
         return np.asarray(f(x.ravel())).reshape(x.shape)

@@ -124,6 +124,9 @@ USAGE_CASES = {
                                "--tmax", "1e300", "--points", "3"],
     "exit-subnormal-x": ["exit", "--x", "1e-320", "--tmin", "1e-5",
                          "--tmax", "1", "--points", "3"],
+    # 1/(pi t) overflows on the diagonal: JSON has no inf (CSV writes it)
+    "heat-json-inf": ["heat", "--t", "1e-320", "--xmin", "1", "--xmax", "2",
+                      "--points", "2", "--format", "json"],
 }
 
 
@@ -137,6 +140,14 @@ def test_domain_error_is_usage_error(args, tmp_path, capsys):
     assert code == 64
     assert capsys.readouterr().err.startswith("error:")
     assert not path.exists()
+
+
+def test_csv_writes_an_infinite_result(tmp_path):
+    code, text = run_cli(["heat", "--t", "1e-320", "--xmin", "1", "--xmax",
+                          "2", "--points", "2"], tmp_path)
+    assert code == 0
+    assert text.splitlines()[4:] == ["1.0,1.0,inf", "1.0,2.0,3.18e-321",
+                                     "2.0,1.0,3.18e-321", "2.0,2.0,inf"]
 
 
 @pytest.mark.parametrize("args", [

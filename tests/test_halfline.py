@@ -19,7 +19,7 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         upper_bounds)
 from cauchyspec.halfline import (_F_TABLE, _R_TABLE, PSI_SUP, _f_closed,
                                  _free_kernel, _laplace_of_weight,
-                                 remainder_weight)
+                                 _LogChebTable, remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -130,6 +130,24 @@ def test_table_read_is_plain_clenshaw(table):
     grid = xs[:600].reshape(40, 15)
     ref = _clenshaw_reference(table, grid.ravel()).reshape(grid.shape)
     assert np.array_equal(table.read(grid), ref)
+
+
+def test_table_is_built_only_for_points_inside():
+    # points outside (lo, hi) go to fn alone; the table samples fn (5
+    # Chebyshev points of its one panel) at the first point inside
+    seen = []
+
+    def fn(x):
+        seen.append(x.tolist())
+        return np.exp(-x)
+
+    table = _LogChebTable(fn, np.ones_like, 1.0, 10.0, 1, 4)
+    xs = np.array([0.0, 10.0, 20.0])
+    assert np.array_equal(table(xs), np.exp(-xs))
+    assert seen == [xs.tolist()]
+    assert "cols" not in vars(table)
+    table(np.array([0.5, 2.0]))
+    assert [len(x) for x in seen] == [3, 5, 1]
 
 
 #: largest relative deviation of the f table from the closed form

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchyspec import GridFunction, GridTooCoarse, pi_transform, psi
+from cauchyspec import (GridFunction, GridTooCoarse, halfline, pi_transform,
+                        psi)
 from cauchyspec.checks import bump
 
 
@@ -29,25 +30,30 @@ def test_grid_too_coarse_rejected():
 
 
 def test_pi_transform_uses_psi_unchanged():
-    # the transform evaluates its kernel through the private psi kernel on
-    # the whole (input x output) grid; the sum of w_i f_i psi(lam_i, x) with
-    # the public psi, one row per input node, must agree bit for bit
+    # the transform evaluates its kernel through the private psi kernel, one
+    # column block of outputs at a time; the sum of w_i f_i psi(lam_i, x)
+    # with the public psi, one row per input node, taken over the same
+    # column blocks, must agree bit for bit
     lam = np.linspace(1.0, 2.0, 201)
     f = GridFunction.from_samples(lam, bump(lam))
     dx = math.pi / 24.0
     out = np.arange(dx, 320.0, dx)
     kernel = np.array([psi(l, out) for l in lam])
-    assert np.array_equal(pi_transform(f, out).values,
-                          (f.weights * f.values) @ kernel)
+    width = halfline._pi_width(lam.size)
+    assert width < out.size
+    ref = np.concatenate([(f.weights * f.values) @ kernel[:, j:j + width]
+                          for j in range(0, out.size, width)])
+    assert np.array_equal(pi_transform(f, out).values, ref)
 
 
 def test_pi_transform_in_blocks():
-    # 40 nodes by 120000 outputs: two kernel blocks, the second narrower,
-    # each row filled in pieces of a table block; against the sum over
-    # input nodes of w_i f_i psi(lam_i, x), one row at a time
+    # 40 nodes by 120000 outputs: many column blocks, the last narrower;
+    # against the sum over input nodes of w_i f_i psi(lam_i, x), one row at
+    # a time
     lam = np.linspace(1.0, 1.02, 40)
     f = GridFunction.from_samples(lam, np.cos(lam))
     out = np.linspace(0.01, 19.0, 120000)
+    assert out.size % halfline._pi_width(lam.size) != 0
     coef = f.weights * f.values
     ref = sum(c * psi(l, out) for c, l in zip(coef, lam))
     assert np.abs(pi_transform(f, out).values - ref).max() <= (
@@ -55,18 +61,19 @@ def test_pi_transform_in_blocks():
 
 
 def test_pi_transform_working_set():
-    # the kernel matrix of a block is filled in place a table block at a
-    # time, so the traced peak is that matrix (2001 x 916 doubles, 14 MiB)
-    # plus buffers of a table block; whole-block temporaries would triple it
+    # the kernel is formed one column block of about _TABLE_BLOCK pairs at
+    # a time in two reused buffers, so the traced peak stays near 2.5 MiB
+    # however many pairs there are: 2001 x 916 (a matrix of those would be
+    # 14 MiB) and ten times as many
     lam = np.linspace(1.0, 2.0, 2001)
     f = GridFunction.from_samples(lam, bump(lam))
-    out = np.arange(math.pi / 24.0, 120.0, math.pi / 24.0)
+    out = np.arange(1, 9168) * (math.pi / 24.0)
     pi_transform(f, out[:5])                 # builds the remainder table
-    tracemalloc.start()
-    try:
-        pi_transform(f, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.size == 916
-    assert peak <= 20 * 2**20
+    for outputs in (916, 9167):
+        tracemalloc.start()
+        try:
+            pi_transform(f, out[:outputs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, outputs

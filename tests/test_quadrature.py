@@ -273,3 +273,13 @@ def test_integrate_many_needs_one_breakpoint_tuple_per_domain():
     with pytest.raises(ValueError):
         integrate_many(lambda x, rows: x, [(0.0, 1.0), (0.0, 2.0)],
                        points=[(0.5,)])
+
+
+def test_inner_requires_the_same_nodes():
+    xs = np.linspace(0.0, 1.0, 11)
+    f = GridFunction.from_samples(xs, np.ones(11))
+    assert f.inner(GridFunction.from_samples(xs.copy(), np.ones(11))) == 1.0
+    moved = xs.copy()
+    moved[5] *= 1.0 + 1e-9
+    with pytest.raises(DomainError):
+        f.inner(GridFunction.from_samples(moved, np.ones(11)))
