@@ -27,9 +27,24 @@ Both operators commute with x -> -x, so the Ritz matrix A_N and the pencil
 matrix S are exactly 0 off parity and split into an even and an odd block.
 Each pipeline assembles, certifies and solves the two blocks apart and
 merges their spectra, in float64 on plain arrays: nothing in either assembly
-cancels, so no precision setting exists.  The Ritz eigensolve of the blocks
-of A_N is one function, shared by the upper bounds and the eigenfunctions,
-and nothing is cached between calls.
+cancels, so no precision setting exists.  The upper bounds and the
+eigenfunctions solve the blocks of A_N with :func:`.linalg.sym_eig` and
+merge them in one order (``_descending``), and nothing is cached between
+calls.
+
+Working set: nothing full-size is formed that only a block is read from.
+The rows of each Ritz block are filled one chunk of about _RR_BLOCK / N
+(65536 / N) Fejer nodes at a time, from a Legendre table at those nodes
+only; at N = 200 one chunk holds all 201 nodes.  The pencil is built per
+parity block straight from the two bands of the coupling
+(``_pencil_block``): the lower bounds form no dense C, no full B and no
+full S, and :func:`assemble_intermediate` scatters the same blocks.  The
+upper bounds keep only each block's eigenvalues, and
+:func:`rr_eigenfunction` embeds only the eigenvector it returns.  The
+Legendre recurrence runs per point and every product per entry, so each
+entry has the bits that one table at all the nodes, or a dense pencil,
+gives (tests/test_interval_reference.py).  The traced peak of
+``bracket(10, N)`` is 1.4 MiB at N = 200 and 69 MiB at N = 2000.
 
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
@@ -290,19 +305,33 @@ def _fejer(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.cos(half), np.sin(half), 2.0 * np.fft.ifft(b)[:n].real
 
 
+#: Legendre table entries (degrees x points) per call of legendre_p_all in
+#: _rr_blocks; at N = 200 all 201 nodes fit in one call
+_RR_BLOCK = 1 << 16
+
+
 def _rr_blocks(N: int) -> list[np.ndarray]:
     """The even and the odd block of A_N, A[p::2, p::2] for p = 0, 1 (the
-    odd one only for N >= 2); see :func:`assemble_rayleigh_ritz`."""
+    odd one only for N >= 2); see :func:`assemble_rayleigh_ritz`.  The rows
+    u_m of each block are filled one chunk of about _RR_BLOCK / N nodes at a
+    time, from a table of P_m and P_m' at those nodes only, and P_m(0),
+    P_m'(0) come from one more call; the recurrence runs per point, so every
+    entry is the one a single table at all the nodes gives."""
     s, c, w = _fejer(N + 1)
-    # P_m and P_m' for m < N at every c and, in the last column, at 0
-    p, dp = legendre_p_all(N - 1, np.append(c, 0.0), diff_n=1)
-    U = p[:, -1:] * p[:, :-1]                          # even rows; odd are 0
+    p0, dp0 = legendre_p_all(N - 1, [0.0], diff_n=1)   # P_m(0), P_m'(0)
     m = np.arange(1, N, 2)[:, None]
-    U[1::2] = s * dp[1::2, -1:] * dp[1::2, :-1] / (m * (m + 1))
+    mm = m * (m + 1)
+    U = [np.empty(((N + 1) // 2, N + 1)), np.empty((N // 2, N + 1))]
+    width = max(1, _RR_BLOCK // N)
+    for j in range(0, N + 1, width):
+        cols = slice(j, j + width)
+        p, dp = legendre_p_all(N - 1, c[cols], diff_n=1)
+        U[0][:, cols] = p0[0::2] * p[0::2]
+        U[1][:, cols] = s[cols] * dp0[1::2] * dp[1::2] / mm
     nu = np.sqrt(np.arange(N) + 0.5)
     blocks = []
     for q in range(min(N, 2)):
-        Uq = U[q::2]
+        Uq = U[q]
         a = (Uq * (0.5 * w)) @ Uq.T                    # s ds = d sigma / 2
         blocks.append(_PI * 0.5 * (a + a.T) * np.outer(nu[q::2], nu[q::2]))
     return blocks
@@ -337,33 +366,24 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     return A
 
 
-def _ritz(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues theta of A_N in descending order, with the matching
-    orthonormal eigenvectors as columns.  Each parity block is solved on its
-    own by the certified :func:`.linalg.sym_eig`; its eigenvectors are
-    embedded into R^N with exact zeros off that parity, and the two sets are
-    merged by eigenvalue."""
-    theta, vec = [], []
-    for q, a in enumerate(_rr_blocks(N)):
-        t, v = sym_eig(a)
-        e = np.zeros((N, t.size))
-        e[q::2] = v
-        theta.append(t)
-        vec.append(e)
-    theta, vec = np.concatenate(theta), np.hstack(vec)
-    order = np.argsort(theta)[::-1]
-    return theta[order], vec[:, order]
+def _descending(theta: list[np.ndarray]) -> np.ndarray:
+    """The eigenvalues of A_N in descending order, as indices into the even
+    block's spectrum followed by the odd block's."""
+    return np.argsort(np.concatenate(theta))[::-1]
 
 
 def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     """Rayleigh-Ritz upper bounds: 1/theta for the descending eigenvalues
     theta of A_N.  Non-increasing in N by min-max over nested subspaces,
     up to the rounding of assembly and eigensolve (about 1e-14 relative).
+    Each parity block is solved by the certified :func:`.linalg.sym_eig`,
+    whose eigenvectors are dropped at once, and the two spectra are merged.
     N is an integer >= 1 and count, by default N, one of 0..N."""
     _integer("N", N, 1)
     count = N if count is None else count
     _integer("count", count, 0, N)
-    theta = _ritz(N)[0][:count]
+    spectra = [sym_eig(a)[0] for a in _rr_blocks(N)]
+    theta = np.concatenate(spectra)[_descending(spectra)[:count]]
     if np.any(theta <= 0):
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
                               "definite; assembly is broken")
@@ -400,21 +420,36 @@ def assemble_intermediate(N: int):
     opposite parity, so the columns p::2 of S meet only the rows 1-p::2 of
     B (none for p = 0 at N = 1): B and S are built one parity block at a
     time, each Gram block certified by its own Cholesky factorization, and
-    are exactly 0 off parity.  N must be an integer >= 1."""
+    are exactly 0 off parity.  Each block comes from :func:`_pencil_block`
+    and is scattered into the full arrays.  N must be an integer >= 1."""
     _integer("N", N, 1)
     K = N + 1
-    k = np.arange(1, K)
-    C = -(np.eye(N, K, 1) + np.eye(N, K, -1))
-    B, S = np.zeros((N, N)), np.zeros((K, K))
+    # C is -(two bands of ones), so its zeros are -0.0
+    C, B, S = np.full((N, K), -0.0), np.zeros((N, N)), np.zeros((K, K))
     for p, q in ((0, 1), (1, 0)):          # columns p::2 meet rows q::2
-        Sp = np.eye(len(range(p, K, 2)))
-        if q < N:
-            kq, Cq = k[q::2], C[q::2, p::2]
-            B[q::2, q::2] = Bq = gram_entry(kq[:, None], kq[None, :])
-            Sp -= Cq.T @ solve_spd(Bq, Cq)
-        S[p::2, p::2] = 0.5 * (Sp + Sp.T)
-    d = np.arange(1.0, K + 1.0)
-    return C, B, d, S
+        Cq, Bq, S[p::2, p::2] = _pencil_block(N, p)
+        if Cq is not None:
+            C[q::2, p::2], B[q::2, q::2] = Cq, Bq
+    return C, B, np.arange(1.0, K + 1.0), S
+
+
+def _pencil_block(N: int, p: int):
+    """The parity block p (0 or 1) of the intermediate problem at basis size
+    N, built from the two bands of the coupling alone: (Cq, Bq, Sp) with
+    Cq = C[q::2, p::2] and Bq = B[q::2, q::2] for q = 1 - p (both None when
+    there are no such rows, p = 0 at N = 1), and Sp = S[p::2, p::2].  In
+    Cq, row a of C is 2a + q and column b is 2b + p, so its bands -1 sit
+    on the diagonal and on the one above (q = 1) or below (q = 0) it."""
+    K, q = N + 1, 1 - p
+    Sp = np.eye(len(range(p, K, 2)))
+    Cq = Bq = None
+    if q < N:
+        shape = (len(range(q, N, 2)), Sp.shape[0])
+        Cq = -(np.eye(*shape) + np.eye(*shape, 2 * q - 1))
+        kq = np.arange(q + 1, N + 1, 2)
+        Bq = gram_entry(kq[:, None], kq[None, :])
+        Sp -= Cq.T @ solve_spd(Bq, Cq)
+    return Cq, Bq, 0.5 * (Sp + Sp.T)
 
 
 def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
@@ -423,14 +458,15 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     the untouched trivial eigenvalues K+1, K+2, ... (K = N+1), in
     nondecreasing order; pencil eigenvalues above K+1 do occur for N >= 13.
     S is 0 off parity, so the pencil is solved on its even and its odd
-    block, S[p::2, p::2] with d[p::2], and the two spectra are merged.
-    Non-decreasing in N.  N is an integer >= 1 and count, by default N + 1,
-    one of 0..N+1."""
+    block, S[p::2, p::2] with d[p::2], one block at a time
+    (:func:`_pencil_block`), and the two spectra are merged: no dense
+    coupling, full Gram matrix or full S is formed.  Non-decreasing in N.
+    N is an integer >= 1 and count, by default N + 1, one of 0..N+1."""
     _integer("N", N, 1)
     count = N + 1 if count is None else count
     _integer("count", count, 0, N + 1)
-    _, _, d, S = assemble_intermediate(N)
-    lam = np.concatenate([generalized_sym_eig(S[p::2, p::2], d[p::2])
+    d = np.arange(1.0, N + 2.0)
+    lam = np.concatenate([generalized_sym_eig(_pencil_block(N, p)[2], d[p::2])
                           for p in (0, 1)])
     trivial = np.arange(N + 2.0, N + 2.0 + count)
     return np.sort(np.concatenate([lam[lam > 0], trivial]))[:count]
@@ -473,8 +509,11 @@ def rr_eigenfunction(n: int, N: int) -> GridFunction:
     positive.  N and n are integers with 1 <= n <= N."""
     _integer("N", N, 1)
     _integer("n", n, 1, N)
-    _, vec = _ritz(N)
-    coeff = vec[:, n - 1]
+    theta, vec = zip(*(sym_eig(a) for a in _rr_blocks(N)))
+    k = _descending(theta)[n - 1]
+    q = int(k >= theta[0].size)            # the parity block it lies in
+    coeff = np.zeros(N)
+    coeff[q::2] = vec[q][:, k - q * theta[0].size]
     xs = np.linspace(-1.0, 1.0, _RR_GRID)
     basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
     vals = coeff @ basis

@@ -33,7 +33,10 @@ def _symmetric(M) -> np.ndarray:
     a = _finite("matrix", M)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DomainError("need a nonempty square 2-D array")
-    return np.tril(a) + np.tril(a, -1).T
+    a = a.copy()
+    for i in range(a.shape[0] - 1):             # in place, row by row
+        a[i, i + 1:] = a[i + 1:, i]
+    return a
 
 
 def sym_eig(M: np.ndarray):
@@ -47,8 +50,15 @@ def sym_eig(M: np.ndarray):
     a = _symmetric(M)
     theta, vec = np.linalg.eigh(a)
     norm = float(np.abs(theta).max()) or 1.0       # ||a||_2, a symmetric
-    resid = np.linalg.norm(a @ vec - vec * theta, axis=0).max()
-    ortho = np.abs(vec.T @ vec - np.eye(a.shape[0])).max()
+    # the residual and the orthogonality defect, each formed in place in
+    # one array of a's size
+    r = a @ vec
+    r -= vec * theta
+    r *= r
+    resid = np.sqrt(r.sum(axis=0)).max()       # largest column 2-norm
+    o = vec.T @ vec
+    o.reshape(-1)[::a.shape[0] + 1] -= 1.0     # minus the identity
+    ortho = np.abs(o, out=o).max()
     if resid > CERT_TOL * norm * a.shape[0] or ortho > CERT_TOL * a.shape[0]:
         raise NonConvergence(
             f"eigendecomposition certificate failed (residual {resid:.2e}, "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -12,9 +13,11 @@ from cauchyspec import (DegeneratePencil, DomainError, QuadratureSpec,
                         residual_norm, tilde_phi, tilde_phi_norm2,
                         upper_bounds)
 from cauchyspec.checks import residual_bound
-from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS, _ritz,
-                                 assemble_intermediate,
+from cauchyspec import interval
+from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS, _descending,
+                                 _rr_blocks, assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry)
+from cauchyspec.linalg import sym_eig
 
 PI = math.pi
 
@@ -402,9 +405,18 @@ def _off_parity(n):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 50, 201])
 def test_ritz_parity_blocks_match_full_matrix(N):
-    # the blocks are solved apart; merged, they are the spectrum of A_N
+    # the blocks are solved apart; merged, they are the spectrum of A_N, and
+    # each block's eigenvectors, embedded with exact zeros off its parity,
+    # are eigenvectors of A_N
     A = assemble_rayleigh_ritz(N)
-    theta, vec = _ritz(N)
+    pairs = [sym_eig(a) for a in _rr_blocks(N)]
+    theta = [t for t, _ in pairs]
+    vec = np.zeros((N, N))
+    for q, (t, v) in enumerate(pairs):
+        vec[q::2, q * theta[0].size:][:, :t.size] = v
+    order = _descending(theta)
+    theta, vec = np.concatenate(theta)[order], vec[:, order]
+    assert np.array_equal(upper_bounds(N), 1.0 / theta)
     full = np.linalg.eigvalsh(A)[::-1]
     assert np.all(np.diff(theta) <= 0.0)
     assert np.abs(theta - full).max() <= 1e-14 * full[0]
@@ -447,8 +459,13 @@ def test_lower_bounds_report_degenerate_block_direction(monkeypatch):
     bad[0::2, 0::2] = np.outer(dh, dh) * ((w * theta) @ w.T)
     even = np.sort(1.0 / theta[:-1])
     odd = generalized_sym_eig(S[1::2, 1::2], d[1::2])
-    monkeypatch.setattr("cauchyspec.interval.assemble_intermediate",
-                        lambda n: (C, B, d, bad))
+    pencil_block = interval._pencil_block
+
+    def bad_block(n, p):
+        Cq, Bq, Sp = pencil_block(n, p)
+        return Cq, Bq, (bad[0::2, 0::2] if p == 0 else Sp)
+
+    monkeypatch.setattr(interval, "_pencil_block", bad_block)
     with pytest.warns(DegeneratePencil, match="has 1 degenerate"):
         lo = lower_bounds(N, N + 1)
     assert lo[0] > 2.0                       # lambda_1 ~ 1.158 is gone
@@ -503,6 +520,22 @@ def test_bracket_validation():
     brs = bracket(3, 10)
     for b in brs:
         assert b.lower <= b.upper
+
+
+def test_bracket_working_set():
+    # both sides work one parity block at a time: the Ritz rows are filled
+    # from Legendre tables of a few nodes each, and the pencil is built from
+    # the coupling's two bands per block, so at N = 400 the traced peak is
+    # about 3.2 MiB; one table at all nodes takes it to 5.2 MiB, and a
+    # dense coupling with full B and S to 7.8 MiB
+    bracket(10, 400)
+    tracemalloc.start()
+    try:
+        bracket(10, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_brackets_contain_references_n50():

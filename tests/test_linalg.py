@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchyspec import (DegeneratePencil, NotPositiveDefinite,
+from cauchyspec import (DegeneratePencil, NonConvergence, NotPositiveDefinite,
                         generalized_sym_eig, solve_spd, sym_eig)
 from cauchyspec.interval import assemble_intermediate
 
@@ -46,6 +46,48 @@ def test_sym_eig_residual_certificate():
     assert resid <= 1e-12 * np.linalg.norm(m, 2) * 10
     # eigenvalue sum equals trace
     assert abs(w.sum() - np.trace(m)) <= 1e-10
+
+
+def _test_matrix(n=10):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((n, n))
+    m = (a + a.T) / 2
+    return m / np.linalg.norm(m, 2)
+
+
+def test_sym_eig_certificate_rejects_residual_defect(monkeypatch):
+    # the two extreme eigenvectors, rotated by 1e-6 in their plane, stay
+    # orthonormal, but each misses its eigenvalue by about 1e-6
+    m = _test_matrix()
+    eigh = np.linalg.eigh
+
+    def rotated(a):
+        theta, vec = eigh(a)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        vec[:, [0, -1]] = vec[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+        return theta, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(NonConvergence, match="certificate failed") as exc:
+        sym_eig(m)
+    assert 1e-7 < exc.value.error_bound < 1e-5
+
+
+def test_sym_eig_certificate_rejects_non_orthonormal_vectors(monkeypatch):
+    # eigenvectors scaled by 1 + 1e-6 keep a residual near rounding, but
+    # are not orthonormal
+    m = _test_matrix()
+    eigh = np.linalg.eigh
+
+    def scaled(a):
+        theta, vec = eigh(a)
+        return theta, vec * (1.0 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    with pytest.raises(NonConvergence, match="orthogonality defect 2.00e-06"
+                       ) as exc:
+        sym_eig(m)
+    assert exc.value.error_bound <= 1e-12 * 10
 
 
 def test_solve_spd_identity_and_diag():
