@@ -33,18 +33,17 @@ merge them in one order (``_descending``), and nothing is cached between
 calls.
 
 Working set: nothing full-size is formed that only a block is read from.
-The rows of each Ritz block are filled one chunk of about _RR_BLOCK / N
-(65536 / N) Fejer nodes at a time, from a Legendre table at those nodes
-only; at N = 200 one chunk holds all 201 nodes.  The pencil is built per
-parity block straight from the two bands of the coupling
-(``_pencil_block``): the lower bounds form no dense C, no full B and no
-full S, and :func:`assemble_intermediate` scatters the same blocks.  The
-upper bounds keep only each block's eigenvalues, and
-:func:`rr_eigenfunction` embeds only the eigenvector it returns.  The
-Legendre recurrence runs per point and every product per entry, so each
-entry has the bits that one table at all the nodes, or a dense pencil,
-gives (tests/test_interval_reference.py).  The traced peak of
-``bracket(10, N)`` is 1.4 MiB at N = 200 and 69 MiB at N = 2000.
+The rows of each Ritz block are filled one degree at a time from the
+three-term Legendre recurrence at the Fejer nodes and at 0
+(``_rr_blocks``).  The pencil is built per parity block straight from the
+two bands of the coupling (``_pencil_block``): the lower bounds form no
+dense C, no full B and no full S, and :func:`assemble_intermediate`
+scatters the same blocks.  The upper bounds keep only each block's
+eigenvalues, and :func:`rr_eigenfunction` sums only the eigenvector it
+returns, by Clenshaw's recurrence.  Each entry has the bits that a dense
+pencil, or scipy's table of P_m and P_m', gives
+(tests/test_interval_reference.py).  The traced peak of ``bracket(10, N)``
+is 0.8 MiB at N = 200 and 69 MiB at N = 2000.
 
 Also here: the approximate eigenfunctions built by gluing two half-line
 eigenfunctions with the piecewise-quadratic cutoff q, the singular-integral
@@ -62,7 +61,6 @@ from math import comb
 from typing import Callable
 
 import numpy as np
-from scipy.special import legendre_p_all
 
 from .errors import (BracketInversion, CauchySpecError, DomainError,
                      _finite, _integer, _scalar_or_array)
@@ -305,29 +303,28 @@ def _fejer(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.cos(half), np.sin(half), 2.0 * np.fft.ifft(b)[:n].real
 
 
-#: Legendre table entries (degrees x points) per call of legendre_p_all in
-#: _rr_blocks; at N = 200 all 201 nodes fit in one call
-_RR_BLOCK = 1 << 16
-
-
 def _rr_blocks(N: int) -> list[np.ndarray]:
     """The even and the odd block of A_N, A[p::2, p::2] for p = 0, 1 (the
     odd one only for N >= 2); see :func:`assemble_rayleigh_ritz`.  The rows
-    u_m of each block are filled one chunk of about _RR_BLOCK / N nodes at a
-    time, from a table of P_m and P_m' at those nodes only, and P_m(0),
-    P_m'(0) come from one more call; the recurrence runs per point, so every
-    entry is the one a single table at all the nodes gives."""
+    u_m are filled one degree at a time from the three-term recurrence for
+    P_m and P_m', run on the Fejer c with 0 appended, so that its last
+    column holds P_m(0) and P_m'(0); only two degrees are kept at a time."""
     s, c, w = _fejer(N + 1)
-    p0, dp0 = legendre_p_all(N - 1, [0.0], diff_n=1)   # P_m(0), P_m'(0)
-    m = np.arange(1, N, 2)[:, None]
-    mm = m * (m + 1)
+    x = np.append(c, 0.0)
     U = [np.empty(((N + 1) // 2, N + 1)), np.empty((N // 2, N + 1))]
-    width = max(1, _RR_BLOCK // N)
-    for j in range(0, N + 1, width):
-        cols = slice(j, j + width)
-        p, dp = legendre_p_all(N - 1, c[cols], diff_n=1)
-        U[0][:, cols] = p0[0::2] * p[0::2]
-        U[1][:, cols] = s[cols] * dp0[1::2] * dp[1::2] / mm
+    # P_{-1} = 0 makes the step to m = 1 give P_1 = x and P_1' = 1 exactly
+    p_, dp_, dp = np.zeros((3, x.size))
+    p = np.ones_like(x)
+    for m in range(N):
+        if m:
+            f0, f1 = -(m - 1) / m, (2 * m - 1) / m
+            fx = f1 * x
+            p_, p, dp_, dp = (p, f0 * p_ + fx * p,
+                              dp, f0 * dp_ + (fx * dp + f1 * p))
+        if m % 2 == 0:
+            U[0][m // 2] = p[-1] * p[:-1]
+        else:
+            U[1][m // 2] = s * dp[-1] * dp[:-1] / (m * (m + 1))
     nu = np.sqrt(np.arange(N) + 0.5)
     blocks = []
     for q in range(min(N, 2)):
@@ -356,8 +353,9 @@ def assemble_rayleigh_ritz(N: int) -> np.ndarray:
     weights in closed form, nodes s and c as a cosine and a sine) integrates
     every entry exactly and the only error is rounding, about 3e-16 ||A||_2
     against the exact oracle at N = 150.  The rule grows with N, so entries
-    shared by two basis sizes agree to that level, not bitwise.  The even
-    and the odd block are assembled apart and scattered into A, whose
+    shared by two basis sizes agree to that level, not bitwise.  P_m and
+    P_m' come from their three-term recurrence, one degree at a time.  The
+    even and the odd block are assembled apart and scattered into A, whose
     off-parity entries stay exactly 0.  N must be an integer >= 1."""
     _integer("N", N, 1)
     A = np.zeros((N, N))
@@ -383,11 +381,10 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     count = N if count is None else count
     _integer("count", count, 0, N)
     spectra = [sym_eig(a)[0] for a in _rr_blocks(N)]
-    theta = np.concatenate(spectra)[_descending(spectra)[:count]]
-    if np.any(theta <= 0):
+    if min(t[0] for t in spectra) <= 0:
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
                               "definite; assembly is broken")
-    return 1.0 / theta
+    return 1.0 / np.concatenate(spectra)[_descending(spectra)[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +466,7 @@ def lower_bounds(N: int, count: int | None = None) -> np.ndarray:
     lam = np.concatenate([generalized_sym_eig(_pencil_block(N, p)[2], d[p::2])
                           for p in (0, 1)])
     trivial = np.arange(N + 2.0, N + 2.0 + count)
-    return np.sort(np.concatenate([lam[lam > 0], trivial]))[:count]
+    return np.sort(np.concatenate([lam, trivial]))[:count]
 
 
 def bracket(n_max: int, N: int) -> list[EigBound]:
@@ -515,8 +512,8 @@ def rr_eigenfunction(n: int, N: int) -> GridFunction:
     coeff = np.zeros(N)
     coeff[q::2] = vec[q][:, k - q * theta[0].size]
     xs = np.linspace(-1.0, 1.0, _RR_GRID)
-    basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
-    vals = coeff @ basis
+    nu = np.sqrt(np.arange(N) + 0.5)
+    vals = np.polynomial.legendre.legval(xs, coeff * nu)
     gf = GridFunction.from_samples(xs, vals)
     if gf.inner(GridFunction.from_samples(xs, _tilde_phi(n, xs))) < 0:
         gf.values = -gf.values

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cauchyspec import (DegeneratePencil, DomainError, QuadratureSpec,
-                        bracket, generalized_sym_eig, generator_apply,
-                        green_moment, lower_bounds, mu_asymptotic, q_cutoff,
-                        residual_norm, tilde_phi, tilde_phi_norm2,
-                        upper_bounds)
+from cauchyspec import (CauchySpecError, DegeneratePencil, DomainError,
+                        QuadratureSpec, bracket, generalized_sym_eig,
+                        generator_apply, green_moment, lower_bounds,
+                        mu_asymptotic, q_cutoff, residual_norm, tilde_phi,
+                        tilde_phi_norm2, upper_bounds)
 from cauchyspec.checks import residual_bound
 from cauchyspec import interval
 from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS, _descending,
@@ -375,6 +375,16 @@ def test_upper_bound_small_bases():
     assert upper_bounds(150, 1)[0] >= 1.157773883697
 
 
+def test_upper_bounds_reject_an_indefinite_block_at_any_count(monkeypatch):
+    # the guard reads the smallest theta of both blocks, not only the
+    # count largest: a negative theta is caught even when count < N
+    monkeypatch.setattr(interval, "_rr_blocks", lambda N: [
+        np.diag([3.0, -1.0]), np.diag([2.0, 1.0])])
+    for count in (1, 4):
+        with pytest.raises(CauchySpecError, match="not positive definite"):
+            upper_bounds(4, count)
+
+
 def test_upper_bounds_monotone_in_basis():
     u100 = upper_bounds(100, 10)
     u150 = upper_bounds(150, 10)
@@ -524,10 +534,10 @@ def test_bracket_validation():
 
 def test_bracket_working_set():
     # both sides work one parity block at a time: the Ritz rows are filled
-    # from Legendre tables of a few nodes each, and the pencil is built from
-    # the coupling's two bands per block, so at N = 400 the traced peak is
-    # about 3.2 MiB; one table at all nodes takes it to 5.2 MiB, and a
-    # dense coupling with full B and S to 7.8 MiB
+    # one degree at a time from the Legendre recurrence, and the pencil is
+    # built from the coupling's two bands per block, so at N = 400 the
+    # traced peak is about 2.8 MiB; a table of P_m and P_m' at all nodes
+    # takes it to 5.2 MiB, and a dense coupling with full B and S to 5.9 MiB
     bracket(10, 400)
     tracemalloc.start()
     try:
@@ -536,6 +546,13 @@ def test_bracket_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_interval_binds_nothing_from_scipy():
+    # the interval pipelines run on numpy alone
+    from_scipy = [name for name, value in vars(interval).items()
+                  if str(getattr(value, "__module__", "")).startswith("scipy")]
+    assert from_scipy == []
 
 
 def test_brackets_contain_references_n50():

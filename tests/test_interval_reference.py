@@ -2,10 +2,11 @@
 
 ``lower_bounds`` builds the intermediate pencil one parity block at a time
 from the two bands of the coupling, and the Ritz matrix fills its rows one
-chunk of Fejer nodes at a time; ``upper_bounds`` and ``rr_eigenfunction``
-never embed the block eigenvectors they do not return.  The references below
-are the dense construction they replace: the N x (N+1) coupling from two
-``np.eye`` bands with full B and S, one Legendre table at every node, and
+degree at a time from the Legendre recurrence; ``upper_bounds`` and
+``rr_eigenfunction`` never embed the block eigenvectors they do not return.
+The references below are the dense construction they replace: the
+N x (N+1) coupling from two ``np.eye`` bands with full B and S, one table
+of every P_m and P_m' at every node from scipy's ``legendre_p_all``, and
 every Ritz vector embedded into R^N.  Each function must give their result
 bit for bit.
 """
@@ -13,15 +14,15 @@ import numpy as np
 import pytest
 from scipy.special import legendre_p_all
 
-from cauchyspec.interval import (_PI, _RR_BLOCK, _RR_GRID, _fejer,
-                                 _tilde_phi, assemble_intermediate,
+from cauchyspec.interval import (_PI, _RR_GRID, _fejer, _tilde_phi,
+                                 assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry,
                                  lower_bounds, rr_eigenfunction,
                                  upper_bounds)
 from cauchyspec.linalg import generalized_sym_eig, solve_spd, sym_eig
 from cauchyspec.quadrature import GridFunction
 
-SIZES = [1, 2, 3, 7, 25, 200]
+SIZES = [1, 2, 3, 7, 25, 200, 401]
 
 
 def dense_intermediate(N):
@@ -79,10 +80,13 @@ def embedded_ritz(N):
 
 def embedded_rr_eigenfunction(n, N):
     _, vec = embedded_ritz(N)
-    coeff = vec[:, n - 1]
+    coeff = vec[:, n - 1] * np.sqrt(np.arange(N) + 0.5)
     xs = np.linspace(-1.0, 1.0, _RR_GRID)
-    basis = legendre_p_all(N - 1, xs)[0] * np.sqrt(np.arange(N) + 0.5)[:, None]
-    vals = coeff @ basis
+    vals = np.polynomial.legendre.legval(xs, coeff)
+    # Clenshaw's sum agrees with the sum over a table of every P_m to
+    # rounding, relative to sum |c_m|, which bounds it since |P_m| <= 1
+    err = np.abs(vals - coeff @ legendre_p_all(N - 1, xs)[0]).max()
+    assert err <= 1e-12 * np.abs(coeff).sum()
     gf = GridFunction.from_samples(xs, vals)
     if gf.inner(GridFunction.from_samples(xs, _tilde_phi(n, xs))) < 0:
         gf.values = -gf.values
@@ -92,10 +96,6 @@ def embedded_rr_eigenfunction(n, N):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_n_200_fills_the_ritz_rows_in_one_chunk():
-    assert _RR_BLOCK // 200 >= 201
 
 
 @pytest.mark.parametrize("N", SIZES)
