@@ -19,20 +19,26 @@ fixed composite Gauss rule over logarithmic t-panels (built lazily once)
 plus two closed forms, a head c t below the first panel and a t^{-3/2}
 tail beyond the last, so the rule holds for every finite x >= 0.  Two
 functions are read from one kind of table, piecewise-Chebyshev in log x,
-sampled from their defining formula on first use, transformed by numpy's
-FFT and evaluated by one Clenshaw loop; other points go through the
-formula itself.  The remainder r, which sits under psi, Pi, the spectral
-heat kernel and the interval eigenfunctions, is read on 1e-12 < x < 1e4
-from (1+x)^2 r(x) (2 panels per decade, degree 16), within a few ulps of
-the rule.  The exit kernel f, which sits in every heat-kernel and
-exit-law integrand, is read on 1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s
-(4 panels per decade, degree 16), within 1e-14 relative of its closed
-form through Ti2 and several times cheaper per point.
+and evaluated by one Clenshaw loop; other points go through the formula
+itself.  The coefficients ship with the package as .npy files in
+``tables/``, loaded on a table's first read: no process samples a formula
+or builds the Laplace rule to read a table, and values read from one do
+not depend on scipy.  ``_LogChebTable.build`` makes them from the defining
+formula (sampled at Chebyshev points, transformed by numpy's FFT), and a
+test checks that each file holds its build bit for bit.  The remainder r,
+which sits under psi, Pi, the spectral heat kernel and the interval
+eigenfunctions, is read on 1e-12 < x < 1e4 from (1+x)^2 r(x) (2 panels per
+decade, degree 16), within a few ulps of the rule.  The exit kernel f,
+which sits in every heat-kernel and exit-law integrand, is read on
+1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s (4 panels per decade, degree 16),
+within 1e-14 relative of its closed form through Ti2 and several times
+cheaper per point.
 
 Working set: every large evaluation runs in blocks of _TABLE_BLOCK (32768)
 points.  A table read runs each block's Clenshaw recurrence in place in
 three arrays, the Laplace rule takes 17 points (one table panel) per block
-of its exponential matrix, and :func:`pi_transform` takes its outputs in
+of its exponential matrix, whose entries that underflow it sets to 0.0
+rather than computing them, and :func:`pi_transform` takes its outputs in
 column blocks of about _TABLE_BLOCK pairs through two reused buffers, so
 its traced peak stays near 2.5 MiB however large the grid.  Table reads
 and psi are elementwise, so their blocks leave every bit as the whole-array
@@ -61,6 +67,7 @@ len(ys)) array and the exit law a (density, survival) pair.
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -146,6 +153,8 @@ def _tail(x: np.ndarray, T: float) -> np.ndarray:
 
 #: points per block of a table evaluation, which bounds its temporaries
 _TABLE_BLOCK = 1 << 15
+#: e^{-y} rounds to 0.0 for every y above this (from about 745.14 on)
+_EXP_ZERO = 746.0
 
 
 def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
@@ -168,9 +177,15 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     for i in range(0, x.size, block):
         xb = xr[i:i + block]
         eb = e[:xb.size]
-        np.multiply(xb[:, None], t, out=eb)
-        np.negative(eb, out=eb)
-        out[i:i + block] = np.exp(eb, out=eb) @ wt
+        # t ascends, so past the first column whose x_min t passes
+        # _EXP_ZERO every entry is 0.0, which np.exp reaches slowly
+        n = np.searchsorted(xb.min() * t, _EXP_ZERO, side="right")
+        live = eb[:, :n]
+        np.multiply(xb[:, None], t[:n], out=live)
+        np.negative(live, out=live)
+        np.exp(live, out=live)
+        eb[:, n:] = 0.0
+        out[i:i + block] = eb @ wt
     return out + amp * _tail(xr, T) + _head(x)
 
 
@@ -180,27 +195,38 @@ class _LogChebTable:
     decade (lo and hi a whole number of decades apart), one interpolant of
     the given degree (at least 2) each.
 
-    On first use g is sampled at the first-kind Chebyshev points of all
-    panels in one call of fn; the Laplace rule of r runs in blocks of one
-    panel's 17 points, so each sample is the one a call per panel gives.
-    The DCT-II of all panels is one real FFT of their even
-    extensions, each coefficient k turned by e^{-i pi k/(2m)} (the basis is
-    not formed by recurrence, whose rounding would cost a digit).  When g
-    is bounded and analytic in u the interpolants converge geometrically to
-    the rounding level of fn.  The coefficients are kept as one contiguous
-    array per degree, which :meth:`read` gathers by panel for Clenshaw."""
+    The coefficients are kept as one contiguous array per degree, which
+    :meth:`read` gathers by panel for Clenshaw.  A table with a ``file``
+    loads them, on its first read, from that .npy file in the package's
+    ``tables`` directory, written by :meth:`build`; one without builds them
+    then."""
 
     def __init__(self, fn, scale, lo: float, hi: float, per_decade: int,
-                 degree: int):
+                 degree: int, file: str | None = None):
         self.fn, self.scale = fn, scale
         self.lo, self.hi, self.per_decade = lo, hi, per_decade
         self.degree = degree
         self.u0 = math.log(lo)
         self.h = math.log(10.0) / per_decade
         self.panels = round(math.log10(hi / lo)) * per_decade
+        self.file = None if file is None else os.path.join(
+            os.path.dirname(__file__), "tables", file)
 
     @cached_property
     def cols(self) -> tuple[np.ndarray, ...]:
+        return self.build() if self.file is None else tuple(np.load(self.file))
+
+    def build(self) -> tuple[np.ndarray, ...]:
+        """The coefficient columns from fn itself, which are what a table's
+        file holds: ``np.save(table.file, np.array(table.build()))``
+        writes it.  g is sampled at the first-kind Chebyshev points of all
+        panels in one call of fn; the Laplace rule of r runs in blocks of one
+        panel's 17 points, so each sample is the one a call per panel gives.
+        The DCT-II of all panels is one real FFT of their even extensions,
+        each coefficient k turned by e^{-i pi k/(2m)} (the basis is not
+        formed by recurrence, whose rounding would cost a digit).  When g is
+        bounded and analytic in u the interpolants converge geometrically to
+        the rounding level of fn."""
         m = self.degree + 1
         s = np.cos(_PI * (np.arange(m) + 0.5) / m)
         k = np.arange(self.panels)[:, None]
@@ -242,7 +268,8 @@ class _LogChebTable:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """fn on a float array: read from the table inside (lo, hi), which
-        is built on first use there, and computed by fn at the other points."""
+        is loaded or built on first use there, and computed by fn at the
+        other points."""
         inside = (x > self.lo) & (x < self.hi)
         n = np.count_nonzero(inside)
         if n == 0:
@@ -268,7 +295,7 @@ def _remainder_by_rule(x: np.ndarray) -> np.ndarray:
 #: r as (1+x)^2 r(x), which lies between about 0.2 and 0.4, on
 #: (1e-12, 1e4), 2 panels per decade of degree 16
 _R_TABLE = _LogChebTable(_remainder_by_rule, lambda x: (1.0 + x) ** 2,
-                         1e-12, 1e4, 2, 16)
+                         1e-12, 1e4, 2, 16, "remainder.npy")
 
 
 def remainder(x):
@@ -277,9 +304,10 @@ def remainder(x):
     bounded by sqrt(2)/(2 pi x^2).
 
     On 1e-12 < x < 1e4 the value comes from a piecewise-Chebyshev table of
-    (1+x)^2 r(x) in log x, built on first use from the Laplace rule and
-    within 4e-15 relative of it, at a small fraction of the rule's cost per
-    point; every other x goes through the rule and its closed-form head and
+    (1+x)^2 r(x) in log x, built from the Laplace rule, shipped with the
+    package and loaded on first use; it is within 4e-15 relative of the rule
+    at a small fraction of the rule's cost per point.  Every other x goes
+    through the rule, built on first use there, and its closed-form head and
     tail, which keep it accurate down to x = 0+ and out to where r
     underflows to 0.0, with no overflow on the way.
     NaN and +-inf raise DomainError."""
@@ -334,9 +362,10 @@ def f_exit(s):
     e^{Ti2(s)/pi} / pi, finite at every finite s.
 
     On 1e-12 < s < 1e12 the value comes from a piecewise-Chebyshev table of
-    f(s) (1+s)^{3/2}/s in log s, built on first use from that closed form
-    and within 1e-14 relative of it; every other s goes through the closed
-    form.  NaN, +inf and s < 0 raise DomainError."""
+    f(s) (1+s)^{3/2}/s in log s, built from that closed form, shipped with
+    the package and loaded on first use, within 1e-14 relative of it; every
+    other s goes through the closed form.  NaN, +inf and s < 0 raise
+    DomainError."""
     return _scalar_or_array(_f, _finite("f_exit", s, low=0.0))
 
 
@@ -359,7 +388,7 @@ def _f_closed(s: np.ndarray) -> np.ndarray:
 #: error reaches 5e-14 near s = 1
 _F_TABLE = _LogChebTable(_f_closed,
                          lambda s: (1.0 + s) * np.sqrt(1.0 + s) / s,
-                         1e-12, 1e12, 4, 16)
+                         1e-12, 1e12, 4, 16, "f_exit.npy")
 
 
 def _f(s: np.ndarray) -> np.ndarray:

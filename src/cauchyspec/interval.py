@@ -21,7 +21,7 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   span(f_1..f_N) with f_n = 2 sqrt(1+cos x) g_n leaves the matrix pencil
   D a = lambda (I - C^T B^{-1} C) a  plus the untouched modes k > N+1.
   The coupling C is two bands of -1 and the Gram matrix B is closed-form
-  (:func:`gram_entry`, evaluated on the whole index grid at once).
+  (:func:`gram_entry`; the pencil builds each parity block of it in place).
 
 Both operators commute with x -> -x, so the Ritz matrix A_N and the pencil
 matrix S are exactly 0 off parity and split into an even and an odd block.
@@ -443,8 +443,18 @@ def _pencil_block(N: int, p: int):
     if q < N:
         shape = (len(range(q, N, 2)), Sp.shape[0])
         Cq = -(np.eye(*shape) + np.eye(*shape, 2 * q - 1))
-        kq = np.arange(q + 1, N + 1, 2)
-        Bq = gram_entry(kq[:, None], kq[None, :])
+        # gram_entry on the indices q+1, q+3, ..., whose pairwise sums are
+        # all even, built in place: its bits in two float arrays
+        kq = np.arange(q + 1.0, N + 1.0, 2.0)
+        Bq, dp = np.subtract.outer(kq, kq), np.add.outer(kq, kq)
+        for d in (Bq, dp):
+            np.multiply(d, d, out=d)
+            np.subtract(1.0, d, out=d)
+            np.divide(1.0, d, out=d)
+        Bq -= dp
+        Bq *= 8.0 / _PI
+        Bq.flat[::Bq.shape[0] + 1] += 4.0
+        del d, dp
         Sp -= Cq.T @ solve_spd(Bq, Cq)
     return Cq, Bq, 0.5 * (Sp + Sp.T)
 

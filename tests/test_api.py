@@ -1,6 +1,9 @@
 """The package exports exactly what the numerical modules declare, and
 its error types form one hierarchy."""
 import importlib
+from pathlib import Path
+
+import pytest
 
 import cauchyspec
 from cauchyspec import errors
@@ -34,3 +37,18 @@ def test_error_hierarchy():
                    and not issubclass(v, Warning)]
     assert errors.NonConvergence in error_types
     assert all(issubclass(e, errors.CauchySpecError) for e in error_types)
+
+
+def test_every_data_file_is_package_data():
+    # a wheel holds the modules and only the data files that package-data
+    # names, while tests run from src/ see every file: the coefficient
+    # tables must not go missing from an install
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11 on
+    root = Path(__file__).resolve().parents[1]
+    globs = tomllib.loads((root / "pyproject.toml").read_text())[
+        "tool"]["setuptools"]["package-data"]["cauchyspec"]
+    pkg = root / "src" / "cauchyspec"
+    data = {p for p in pkg.rglob("*")
+            if p.is_file() and p.suffix not in (".py", ".pyc")}
+    assert any(p.suffix == ".npy" for p in data)
+    assert data <= {p for g in globs for p in pkg.glob(g)}

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,9 +19,10 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         residual_norm, rr_eigenfunction, solve_spd, survival,
                         sym_eig, tilde_phi, tilde_phi_norm2, ti2,
                         upper_bounds)
-from cauchyspec.halfline import (_F_TABLE, _R_TABLE, PSI_SUP, _f_closed,
-                                 _free_kernel, _laplace_of_weight,
-                                 _LogChebTable, remainder_weight)
+from cauchyspec.halfline import (_F_TABLE, _R_TABLE, _RULE_LO, _TABLE_BLOCK,
+                                 PSI_SUP, _f_closed, _free_kernel, _head,
+                                 _laplace_of_weight, _laplace_rule,
+                                 _LogChebTable, _tail, remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -148,6 +151,61 @@ def test_table_is_built_only_for_points_inside():
     assert "cols" not in vars(table)
     table(np.array([0.5, 2.0]))
     assert [len(x) for x in seen] == [3, 5, 1]
+
+
+@pytest.mark.parametrize("table", [_R_TABLE, _F_TABLE], ids=["r", "f"])
+def test_shipped_table_is_its_build(table):
+    # the coefficient file read at run time holds, bit for bit, what
+    # sampling fn and transforming gives wherever the suite runs
+    shipped, built = np.load(table.file), np.array(table.build())
+    assert shipped.shape == (table.degree + 1, table.panels)
+    assert np.array_equal(shipped.view(np.uint64), built.view(np.uint64)), (
+        f"{table.file} is stale; regenerate it with "
+        "np.save(table.file, np.array(table.build()))")
+
+
+def test_table_reads_build_neither_the_rule_nor_f():
+    # in a fresh process the Pi transform on the benchmark's grid, the psi
+    # command and f_exit read both tables from their files: the Laplace rule
+    # is never built and f's closed form never called
+    script = """
+import contextlib, io, math, sys
+import numpy as np
+from cauchyspec import GridFunction, f_exit, halfline, pi_transform
+from cauchyspec.checks import bump
+from cauchyspec.cli import main
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and called.add(frame.f_code))
+lam, dx = np.linspace(1.0, 2.0, 201), math.pi / 24.0
+pi_transform(GridFunction.from_samples(lam, bump(lam)),
+             np.arange(dx, 120.0, dx))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["psi", "--lam", "1.05", "--xmax", "20", "--points", "400"])
+f_exit(np.geomspace(1e-6, 1e6, 100))
+sys.setprofile(None)
+print(code, halfline._laplace_rule.cache_info().currsize,
+      halfline._f_closed.__code__ in called,
+      all("cols" in vars(t) for t in (halfline._R_TABLE, halfline._F_TABLE)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", "0", "False", "True"]
+
+
+def test_laplace_rule_skips_only_exponentials_that_underflow():
+    # the columns of a block past the underflow threshold are set to 0.0,
+    # not computed: the matrix, and so its product, is the plain form's
+    t, wt, T, amp = _laplace_rule()
+    x = np.concatenate((np.geomspace(1e-16, 1e16, 4001),
+                        [_R_TABLE.lo, _R_TABLE.hi]))
+    xr = np.minimum(x, 1e3 / _RULE_LO)
+    block = _TABLE_BLOCK // t.size
+    rule = np.concatenate([np.exp(-np.outer(xr[i:i + block], t)) @ wt
+                           for i in range(0, x.size, block)])
+    ref = rule + amp * _tail(xr, T) + _head(x)
+    assert np.array_equal(_laplace_of_weight(x).view(np.uint64),
+                          ref.view(np.uint64))
 
 
 #: largest relative deviation of the f table from the closed form

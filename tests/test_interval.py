@@ -503,6 +503,21 @@ def test_gram_entries_vs_quadrature():
     assert np.all(grid[(k[:, None] + k[None, :]) % 2 == 1] == 0.0)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 25, 200, 2000])
+def test_pencil_gram_block_is_gram_entry(N):
+    # the in-place float build of a parity block gives gram_entry's values
+    # on its index grid bit for bit
+    for p in (0, 1):
+        q = 1 - p
+        _, Bq, _ = interval._pencil_block(N, p)
+        if q >= N:
+            assert Bq is None
+            continue
+        k = np.arange(q + 1, N + 1, 2)
+        ref = gram_entry(k[:, None], k[None, :])
+        assert np.array_equal(Bq.view(np.uint64), ref.view(np.uint64))
+
+
 def test_gram_positive_definite_up_to_300():
     from cauchyspec import solve_spd
     _, B, _, _ = assemble_intermediate(300)
