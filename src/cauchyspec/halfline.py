@@ -17,15 +17,18 @@ up to the factor pi/2).
 Evaluation strategy: Laplace transforms of the w-family are defined by a
 fixed composite Gauss rule over logarithmic t-panels (built lazily once)
 plus two closed forms, a head c t below the first panel and a t^{-3/2}
-tail beyond the last, so the rule holds for every finite x >= 0.  Two
-functions are read from one kind of table, piecewise-Chebyshev in log x,
-and evaluated by one Clenshaw loop; other points go through the formula
-itself.  The coefficients ship with the package as .npy files in
-``tables/``, loaded on a table's first read: no process samples a formula
-or builds the Laplace rule to read a table, and values read from one do
-not depend on scipy.  ``_LogChebTable.build`` makes them from the defining
-formula (sampled at Chebyshev points, transformed by numpy's FFT), and a
-test checks that each file holds its build bit for bit.  The remainder r,
+tail beyond the last, so the rule holds for every finite x >= 0.  The
+head's incomplete gamma function is computed in numpy; the tail, 0.0 from
+x = 5e-8 on, takes scipy's erfc below that, so scipy.special is loaded
+only there: in a table build, or for r at x <= 1e-12.  Two functions are
+read from one kind of table, piecewise-Chebyshev in log x, and evaluated
+by one Clenshaw loop; other points go through the formula itself.  The
+coefficients ship with the package as .npy files in ``tables/``, loaded on
+a table's first read: no process samples a formula or builds the Laplace
+rule to read a table, and values read from one do not depend on scipy.
+``_LogChebTable.build`` makes them from the defining formula (sampled at
+Chebyshev points, transformed by numpy's FFT), and a test checks that each
+file holds its build bit for bit.  The remainder r,
 which sits under psi, Pi, the spectral heat kernel and the interval
 eigenfunctions, is read on 1e-12 < x < 1e4 from (1+x)^2 r(x) (2 panels per
 decade, degree 16), within a few ulps of the rule.  The exit kernel f,
@@ -71,7 +74,7 @@ import os
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import erfc, gammainc
+import scipy       # scipy.special, for erfc alone, loads on its first read
 
 from .errors import (DomainError, GridTooCoarse, PoleError, _finite,
                      _increasing, _positive, _scalar_or_array)
@@ -133,28 +136,61 @@ def _laplace_rule():
     return ts, ws * remainder_weight(ts), t_end, amp
 
 
+#: 1/(k! (k+2)) for k < 18, the Taylor coefficients of P(2, y)/y^2 in -y;
+#: the first one left out is under a quarter ulp of the sum for y < 1
+_P2_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in range(18))
+
+
+def _gamma_p2(y: np.ndarray) -> np.ndarray:
+    """The regularized incomplete gamma function P(2, y) = 1 - e^{-y}(1 + y)
+    on a float array of finite y >= 0, within a few ulps: by Horner on its
+    Taylor series, y^2 sum (-y)^k/(k! (k+2)), for y < 1, where the closed
+    form cancels, and as -expm1(-y) - y e^{-y} from y = 1 on."""
+    out = np.empty_like(y)
+    low = y < 1.0
+    yl = y[low]
+    s = np.full_like(yl, _P2_SERIES[-1])
+    for c in _P2_SERIES[-2::-1]:
+        s *= -yl
+        s += c
+    out[low] = yl * yl * s
+    yh = y[~low]
+    out[~low] = -np.expm1(-yh) - yh * np.exp(-yh)
+    return out
+
+
 def _head(x: np.ndarray) -> np.ndarray:
     """int_0^_RULE_LO w(t) e^{-t x} dt in closed form.  There
     w(t) = c t (1 + O(t log t)), c = sqrt(2)/(2 pi), so the head is
-    c P(2, _RULE_LO x)/x^2 with P the regularized incomplete gamma function,
-    accurate where _RULE_LO x is tiny.  c/x/x keeps x^2 from overflowing;
-    below x = 1, where the head is c _RULE_LO^2/2 to 1e-13 relative, x is
-    read as 1 so that c/x/x stays finite."""
+    c P(2, _RULE_LO x)/x^2 with P the regularized incomplete gamma function
+    (:func:`_gamma_p2`), accurate where _RULE_LO x is tiny.  c/x/x keeps x^2
+    from overflowing; below x = 1, where the head is c _RULE_LO^2/2 to 1e-13
+    relative, x is read as 1 so that c/x/x stays finite."""
     x = np.maximum(x, 1.0)
-    return _SQ2_2PI / x / x * gammainc(2.0, _RULE_LO * x)
+    return _SQ2_2PI / x / x * _gamma_p2(_RULE_LO * x)
+
+
+#: e^{-y} rounds to 0.0 for every y above this (from about 745.14 on)
+_EXP_ZERO = 746.0
 
 
 def _tail(x: np.ndarray, T: float) -> np.ndarray:
-    """int_T^inf t^{-3/2} e^{-t x} dt, in closed form via erfc."""
-    rT = math.sqrt(T)
-    return (2.0 * np.exp(-x * T) / rT
-            - 2.0 * np.sqrt(_PI * x) * erfc(np.sqrt(x) * rT))
+    """int_T^inf t^{-3/2} e^{-t x} dt, in closed form via erfc:
+    2 e^{-x T}/sqrt(T) - 2 sqrt(pi x) erfc(sqrt(x T)).  Both terms, and so
+    the tail, are 0.0 once x T passes _EXP_ZERO; only the points below it
+    reach erfc, whose scipy.special is loaded on that first use."""
+    out = np.zeros_like(x)
+    near = x * T <= _EXP_ZERO
+    if near.any():
+        xn = x[near]
+        rT = math.sqrt(T)
+        out[near] = (2.0 * np.exp(-xn * T) / rT - 2.0 * np.sqrt(_PI * xn)
+                     * scipy.special.erfc(np.sqrt(xn) * rT))
+    return out
 
 
 #: points per block of a table evaluation, which bounds its temporaries
 _TABLE_BLOCK = 1 << 15
-#: e^{-y} rounds to 0.0 for every y above this (from about 745.14 on)
-_EXP_ZERO = 746.0
 
 
 def _laplace_of_weight(x: np.ndarray) -> np.ndarray:

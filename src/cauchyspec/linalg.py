@@ -6,7 +6,7 @@ is returned, because the eigenvalue-bound pipeline downstream treats these
 numbers as evidence, not as best-effort output; an SPD solve is certified by
 its Cholesky factorization.  Matrices are plain arrays; each routine works
 on a copy whose upper triangle mirrors the lower one, so symmetry holds bit
-for bit.
+for bit, and the pencil solve scales and mirrors that one copy in place.
 """
 
 from __future__ import annotations
@@ -27,16 +27,20 @@ CERT_TOL = 1e-12
 DEGENERACY_THRESHOLD = 1e-12
 
 
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """a, its lower triangle mirrored into the upper in place, row by row."""
+    for i in range(a.shape[0] - 1):
+        a[i, i + 1:] = a[i + 1:, i]
+    return a
+
+
 def _symmetric(M) -> np.ndarray:
     """A float copy of M with the lower triangle mirrored into the upper;
     DomainError unless M is square, 2-D, nonempty and finite."""
     a = _finite("matrix", M)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DomainError("need a nonempty square 2-D array")
-    a = a.copy()
-    for i in range(a.shape[0] - 1):             # in place, row by row
-        a[i, i + 1:] = a[i + 1:, i]
-    return a
+    return _mirror(a.copy())
 
 
 def sym_eig(M: np.ndarray):
@@ -47,15 +51,20 @@ def sym_eig(M: np.ndarray):
     orthonormality are verified explicitly, and a failed certificate raises
     :class:`NonConvergence` rather than returning unverified numbers.
     """
-    a = _symmetric(M)
+    return _sym_eig(_symmetric(M))
+
+
+def _sym_eig(a: np.ndarray):
+    """sym_eig on a, already mirrored, which the certificates read alone."""
     theta, vec = np.linalg.eigh(a)
     norm = float(np.abs(theta).max()) or 1.0       # ||a||_2, a symmetric
-    # the residual and the orthogonality defect, each formed in place in
-    # one array of a's size
+    # the residual and then the orthogonality defect, each formed in place
+    # in one array of a's size, the first freed before the second is made
     r = a @ vec
     r -= vec * theta
     r *= r
     resid = np.sqrt(r.sum(axis=0)).max()       # largest column 2-norm
+    del r
     o = vec.T @ vec
     o.reshape(-1)[::a.shape[0] + 1] -= 1.0     # minus the identity
     ortho = np.abs(o, out=o).max()
@@ -91,7 +100,8 @@ def generalized_sym_eig(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     returning lambda = 1/theta sorted ascending.  Directions with
     theta <= DEGENERACY_THRESHOLD (S not safely positive there) carry no
     finite eigenvalue; they are dropped from the result and reported through
-    a :class:`DegeneratePencil` warning.
+    a :class:`DegeneratePencil` warning.  The copy of S is scaled, by rows
+    and then by columns, and mirrored in place, with no second copy.
     """
     s = _symmetric(S)
     d = np.asarray(d, dtype=float)
@@ -99,8 +109,9 @@ def generalized_sym_eig(S: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise DomainError("diagonal length must match the matrix order")
     _positive("diagonal entries", d)
     dh = 1.0 / np.sqrt(d)
-    m = dh[:, None] * s * dh[None, :]
-    theta, _ = sym_eig(m)
+    s *= dh[:, None]
+    s *= dh[None, :]
+    theta, _ = _sym_eig(_mirror(s))
     cutoff = DEGENERACY_THRESHOLD * max(1.0, float(np.abs(theta).max()))
     good = theta > cutoff
     if not np.all(good):

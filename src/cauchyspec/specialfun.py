@@ -12,18 +12,19 @@ together with the holomorphic function
     b_complex(z) = (1/pi) int_{-inf}^0 log(z - s)/(1+s^2) ds,
 
 whose boundary values on the real axis are eta(t) + i*arctan(max(-t,0)).
-Ti2 is read off scipy's complex dilogarithm, Li2(w) = spence(1 - w)
-(Lewin, Polylogarithms and Associated Functions, 1981), and eta is closed
-form in it.  All real-argument functions accept scalars or numpy arrays,
-checked by the input rules of :mod:`.errors`.
+Ti2 is computed in numpy alone: a fixed Gauss-Legendre rule on
+int_0^1 arctan(a u)/u du for a <= 1, and Lewin's reflection
+Ti2(t) = Ti2(1/t) + (pi/2) log t beyond (Lewin, Polylogarithms and Associated
+Functions, 1981); eta is closed form in it.  All real-argument functions
+accept scalars or numpy arrays, checked by the input rules of :mod:`.errors`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import DomainError, _finite, _scalar_or_array
 from .quadrature import QuadratureSpec, integrate
@@ -38,15 +39,55 @@ _PI = math.pi
 
 
 def ti2(t):
-    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du for finite
-    t >= 0, evaluated as Im Li2(i t) with the dilogarithm
-    Li2(w) = spence(1 - w).  NaN, +inf and t < 0 raise DomainError."""
+    """Inverse tangent integral Ti2(t) = int_0^t arctan(u)/u du = Im Li2(i t)
+    for finite t >= 0, within 5e-16 relative.  On t <= 1 it is
+    int_0^1 arctan(t u)/u du by a 20-node Gauss-Legendre rule, whose
+    integrand is analytic on a Bernstein ellipse of parameter 4.6 about
+    [0, 1]; beyond, Ti2(t) = Ti2(1/t) + (pi/2) log t.  Each point is summed
+    on its own, node by node, so its bits do not depend on the batch.
+    NaN, +inf and t < 0 raise DomainError."""
     return _scalar_or_array(_ti2, _finite("ti2", t, low=0.0))
 
 
+@lru_cache(maxsize=None)
+def _ti2_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-node Gauss-Legendre rule on [0, 1] as two columns, the nodes u
+    and the weights over u, built on the first call of _ti2."""
+    g, w = np.polynomial.legendre.leggauss(20)
+    u = 0.5 * (g + 1.0)
+    return u[:, None], (0.5 * w / u)[:, None]
+
+
+#: points per block of _ti2, whose (20, block) array of terms is 640 KiB
+_TI2_BLOCK = 4096
+#: below this Ti2(a) is a to the last bit (a^3/9 is under its half ulp),
+#: and a*u, subnormal far below it, would lose digits
+_TI2_LINEAR = 1e-150
+
+
 def _ti2(t: np.ndarray) -> np.ndarray:
-    """Ti2 on a float array of t >= 0, unchecked."""
-    return spence(1.0 - 1j * t).imag
+    """Ti2 on a float array of t >= 0, unchecked.  The terms of a block,
+    one row per node, are formed by three ufunc calls and summed row by
+    row, so each point's sum runs over the nodes in the same order
+    whatever its block."""
+    shape, t = t.shape, t.ravel()
+    big = t > 1.0
+    a = t.copy()
+    a[big] = 1.0 / t[big]
+    u, wu = _ti2_rule()
+    acc = np.zeros_like(a)
+    terms = np.empty((u.shape[0], min(a.size, _TI2_BLOCK)))
+    for i in range(0, a.size, _TI2_BLOCK):
+        ab, sb = a[i:i + _TI2_BLOCK], acc[i:i + _TI2_BLOCK]
+        tb = terms[:, :ab.size]
+        np.arctan(np.multiply(u, ab, out=tb), out=tb)
+        tb *= wu
+        for row in tb:
+            sb += row
+    tiny = a < _TI2_LINEAR
+    acc[tiny] = a[tiny]
+    acc[big] += 0.5 * _PI * np.log(t[big])
+    return acc.reshape(shape)
 
 
 #: beyond this, 1 + a^2 is a^2 to the last bit, and a*a soon overflows

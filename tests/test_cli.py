@@ -23,7 +23,8 @@ def run_cli(args, tmp_path, name="out"):
 def test_cli_import_leaves_heavy_modules_unloaded():
     # the subcommands import what they need; loading the CLI alone keeps
     # every process's start-up cost down
-    lazy = ("scipy.integrate", "scipy.fft", "cauchyspec.checks")
+    lazy = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.random",
+            "cauchyspec.checks")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cauchyspec.cli; "
@@ -32,9 +33,22 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_every_subcommand_loads_scipy_special_alone():
-    # the package needs scipy for its special functions only: Cholesky,
-    # solve and FFT come from numpy, quadrature from the package itself
+#: one small call of each subcommand, and of each eigs method
+SUBCOMMANDS = [
+    ["eigs", "--n-max", "3", "--basis", "8"],
+    ["eigs", "--n-max", "3", "--basis", "8", "--method", "upper"],
+    ["eigs", "--n-max", "3", "--basis", "8", "--method", "lower"],
+    ["psi", "--lam", "1", "--xmax", "5"],
+    ["heat", "--t", ".5", "--xmin", ".3", "--xmax", "2", "--points", "3"],
+    ["exit", "--x", "1", "--tmin", ".1", "--tmax", "1"],
+    ["validate", "--level", "quick"],
+]
+
+
+def test_every_subcommand_loads_no_scipy_subpackage():
+    # Cholesky, solve and FFT come from numpy, quadrature and the special
+    # functions from the package itself; scipy.special's erfc is read only
+    # for r below x = 5e-8, off every default subcommand's path
     proc = subprocess.run(
         [sys.executable, "-c",
          "import contextlib, io, sys, cauchyspec.cli\n"
@@ -45,22 +59,43 @@ def test_every_subcommand_loads_scipy_special_alone():
          "                  and not m[6:].startswith('_')\n"
          "                  and hasattr(mod, '__path__'))\n"
          "seen = [loaded()]\n"
-         "for argv in (['eigs', '--n-max', '3', '--basis', '8'],\n"
-         "             ['eigs', '--n-max', '3', '--basis', '8',\n"
-         "              '--method', 'upper'],\n"
-         "             ['eigs', '--n-max', '3', '--basis', '8',\n"
-         "              '--method', 'lower'],\n"
-         "             ['psi', '--lam', '1', '--xmax', '5'],\n"
-         "             ['heat', '--t', '.5', '--xmin', '.3', '--xmax', '2',\n"
-         "              '--points', '3'],\n"
-         "             ['exit', '--x', '1', '--tmin', '.1', '--tmax', '1'],\n"
-         "             ['validate', '--level', 'quick']):\n"
+         f"for argv in {SUBCOMMANDS!r}:\n"
          "    with contextlib.redirect_stdout(io.StringIO()):\n"
          "        assert cauchyspec.cli.main(argv) == 0, argv\n"
          "    seen.append(loaded())\n"
          "print(seen)"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == repr([["special"]] * 8)
+    assert proc.stdout.strip() == repr([[]] * 8)
+
+
+def test_subcommands_and_pi_transform_run_with_scipy_special_refused():
+    # an import hook refuses scipy.special: every subcommand above and the
+    # Pi transform on the benchmark's transform grid still succeed
+    script = f"""
+import contextlib, io, math, sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[:2] == ["scipy", "special"]:
+            raise ImportError(name + " refused")
+sys.meta_path.insert(0, Refuse())
+import numpy as np
+import cauchyspec.cli
+from cauchyspec import GridFunction, pi_transform
+from cauchyspec.checks import bump
+for argv in {SUBCOMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cauchyspec.cli.main(argv) == 0, argv
+lam, dx = np.linspace(1.0, 2.0, 201), math.pi / 24.0
+pif = pi_transform(GridFunction.from_samples(lam, bump(lam)),
+                   np.arange(dx, 120.0, dx))
+try:                                    # the hook does refuse it
+    import scipy.special
+except ImportError:
+    print(pif.values.size, "scipy.special" in sys.modules, "refused")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["916", "False", "refused"]
 
 
 def test_validate_leaves_scipy_integrate_unloaded():

@@ -20,9 +20,10 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         sym_eig, tilde_phi, tilde_phi_norm2, ti2,
                         upper_bounds)
 from cauchyspec.halfline import (_F_TABLE, _R_TABLE, _RULE_LO, _TABLE_BLOCK,
-                                 PSI_SUP, _f_closed, _free_kernel, _head,
-                                 _laplace_of_weight, _laplace_rule,
-                                 _LogChebTable, _tail, remainder_weight)
+                                 PSI_SUP, _f_closed, _free_kernel,
+                                 _gamma_p2, _head, _laplace_of_weight,
+                                 _laplace_rule, _LogChebTable, _tail,
+                                 remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -206,6 +207,31 @@ def test_laplace_rule_skips_only_exponentials_that_underflow():
     ref = rule + amp * _tail(xr, T) + _head(x)
     assert np.array_equal(_laplace_of_weight(x).view(np.uint64),
                           ref.view(np.uint64))
+
+
+def test_head_gamma_p2_matches_mpmath():
+    # P(2, y) = 1 - e^{-y}(1 + y): series below y = 1, closed form above;
+    # scipy's gammainc(2, y) was off by 1.4e-14 at y = 2.8e-29
+    mp = pytest.importorskip("mpmath")
+    y = np.geomspace(1e-30, 60.0, 3000)
+    with mp.workdps(30):
+        ref = np.array([float(mp.gammainc(2, 0, v, regularized=True))
+                        for v in y])
+    assert np.abs(_gamma_p2(y) / ref - 1.0).max() <= 4e-16
+
+
+def test_tail_is_the_erfc_formula_bit_for_bit():
+    # the tail is 0.0 past x T = _EXP_ZERO without calling erfc, which is
+    # the value the formula rounds to there: x T over [1, 1e4] and both
+    # limits of the r table
+    from scipy.special import erfc
+    T = _laplace_rule()[2]
+    x = np.concatenate((np.geomspace(1.0, 1e4, 4001) / T,
+                        [_R_TABLE.lo, _R_TABLE.hi]))
+    rT = math.sqrt(T)
+    ref = (2.0 * np.exp(-x * T) / rT
+           - 2.0 * np.sqrt(math.pi * x) * erfc(np.sqrt(x) * rT))
+    assert np.array_equal(_tail(x, T).view(np.uint64), ref.view(np.uint64))
 
 
 #: largest relative deviation of the f table from the closed form

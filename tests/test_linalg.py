@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,23 @@ def test_generalized_degenerate_direction_warns():
     with pytest.warns(DegeneratePencil):
         lam = generalized_sym_eig(s, np.array([1.0, 2.0]))
     assert np.allclose(lam, [1.0])
+
+
+def test_generalized_working_set():
+    # the copy of S is scaled and mirrored in place and the residual array
+    # is freed before the orthogonality array is made, so beside the
+    # caller's S the traced peak is about 4 blocks of n x n floats
+    n = 401
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n))
+    s = a @ a.T / n + np.eye(n)
+    d = np.arange(1.0, n + 1.0)
+    expected = generalized_sym_eig(s, d)
+    tracemalloc.start()
+    try:
+        lam = generalized_sym_eig(s, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(lam, expected)
+    assert peak <= 4.5 * 8 * n * n

@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cauchyspec.specialfun as specialfun
 from cauchyspec import (CATALAN, DomainError, QuadratureSpec, b_complex,
                         eta, integrate, ti2)
 
@@ -49,6 +50,42 @@ def test_ti2_seams_match_quadrature():
         ref = integrate(lambda u: np.arctan(u) / u, (1e-300, t), spec,
                         points=(1.0,) if t > 1.0 else ())
         assert ti2(t) == pytest.approx(ref, rel=1e-14)
+
+
+#: 600 decades-wide points and 201 around the reflection at t = 1
+TI2_GRID = np.concatenate((np.geomspace(1e-300, 1e300, 600),
+                           np.linspace(0.5, 2.0, 201)))
+
+
+def test_ti2_matches_mpmath_to_rounding():
+    # Ti2(t) = Im Li2(i t); the 20-node rule is at 4.4e-16 on this grid,
+    # where a 19-node one reaches 6.7e-16
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = np.array([float(mp.polylog(2, mp.mpc(0, t)).imag)
+                        for t in TI2_GRID])
+    assert np.abs(ti2(TI2_GRID) / ref - 1.0).max() <= 5e-16
+
+
+def test_ti2_of_a_point_alone_is_its_value_in_a_batch():
+    # each point is summed on its own over the nodes, with no matrix
+    # product whose order could depend on the batch; the tiled batch of
+    # 4806 points spans two blocks of _ti2
+    batch = ti2(np.tile(TI2_GRID, 6))
+    alone = np.tile([ti2(t) for t in TI2_GRID], 6)
+    assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+
+
+def test_ti2_is_its_argument_at_subnormal_scale():
+    t = np.array([1e-160, 1e-305, 1e-310, 5e-324])
+    assert np.array_equal(ti2(t), t)
+
+
+def test_specialfun_binds_nothing_from_scipy():
+    # Ti2, and eta with it, run on numpy alone
+    from_scipy = [name for name, value in vars(specialfun).items()
+                  if str(getattr(value, "__module__", "")).startswith("scipy")]
+    assert from_scipy == []
 
 
 def test_ti2_keeps_scalar_and_array_shapes():
