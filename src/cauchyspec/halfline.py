@@ -459,10 +459,10 @@ def exit_density(x: float, t):
     return _scalar_or_array(lambda s: _f_over_s(s, x), t)
 
 
-def _survival(x: float, ts, tol: float) -> np.ndarray:
+def _survival(x: float, ts) -> np.ndarray:
     """Survival at increasing ts, clipped to [0, 1]: 1 minus the running sum
     of the exit-density masses of (0, t_1), (t_1, t_2), ..., one batch of
-    integrals to tolerance tol.  The decades of x seed the first interval:
+    integrals to 1e-12.  The decades of x seed the first interval:
     the s^(-3/2) tail of f(s/x)/s sits within a few multiples of x, where
     the nodes of one wide panel [x, t_1] would never look.  For the same
     reason the decades t_i 10^k inside (t_i, t_{i+1}) seed each later
@@ -473,8 +473,7 @@ def _survival(x: float, ts, tol: float) -> np.ndarray:
     seeds += [[a * 10.0**k for k in range(1, int(math.log10(b / a)) + 1)]
               for a, b in zip(ts[:-1], ts[1:])]
     masses = integrate_many(lambda s, rows: _f_over_s(s, x),
-                            list(zip(edges[:-1], edges[1:])),
-                            QuadratureSpec(abs_tol=tol, rel_tol=tol), seeds)
+                            list(zip(edges[:-1], edges[1:])), points=seeds)
     return np.clip(1.0 - np.cumsum(masses), 0.0, 1.0)
 
 
@@ -484,7 +483,7 @@ def survival(x: float, t: float) -> float:
     0 and 1, and at least (2/pi) arctan(x/t); x, t and t/x must be positive
     and finite."""
     _check_exit(x, t)
-    return float(_survival(x, [t], 1e-12)[0])
+    return float(_survival(x, [t])[0])
 
 
 #: tolerance of the correction integral of the closed-form heat kernel
@@ -651,7 +650,9 @@ def exit_law(x: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(density, survival) of the exit time started at x on a positive,
     increasing 1-D time grid.  Survival, clipped to [0, 1], is 1 minus the
     running sum of the exit-density masses between consecutive times, each
-    integrated to 1e-10, so the two columns are consistent by construction."""
+    integrated to 1e-12 as in :func:`survival`, so the two columns are
+    consistent by construction and the survival column matches
+    :func:`survival` to quadrature accuracy."""
     ts = _increasing("ts", ts, 1)
     dens = exit_density(x, ts)        # checks x, ts and ts/x
-    return dens, _survival(x, ts.tolist(), 1e-10)
+    return dens, _survival(x, ts.tolist())

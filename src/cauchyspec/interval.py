@@ -199,9 +199,9 @@ def generator_apply(g: Callable[[np.ndarray], np.ndarray], z,
     integral splits into int g(y)/(y-z)^2 over the support and the analytic
     tail -g(z) * 2/d, d = min(1/8, z-a, b-z).  The folded cores of all
     points form one batched quadrature (:func:`.quadrature.integrate_many`),
-    and so do the left and the right outer integrals; each point's value is
-    the one it gets on its own.  A point outside the open support (or NaN)
-    raises DomainError.
+    and the left and right outer integrals of all points form another; each
+    point's value is the one it gets on its own.  A point outside the open
+    support (or NaN) raises DomainError.
     """
     a, b = support
     zarr = np.asarray(z, dtype=float)
@@ -219,20 +219,19 @@ def generator_apply(g: Callable[[np.ndarray], np.ndarray], z,
         zr = zs[rows, None]
         return (g2(zr + u) + g2(zr - u) - 2.0 * gz[rows, None]) / (u * u)
 
-    def outer(zsel):
-        return lambda y, rows: g2(y) / (y - zsel[rows, None]) ** 2
-
     pts = [sorted({abs(k - z) for k in kinks if 0.0 < abs(k - z) < dz})
            for z, dz in zip(zs.tolist(), d.tolist())]
     out = integrate_many(folded, [(0.0, dz) for dz in d.tolist()], spec, pts)
     out = out - gz * 2.0 / d
     left, right = zs - d > a, zs + d < b
-    doms = [(a, y) for y in (zs - d)[left].tolist()]
-    out[left] += integrate_many(outer(zs[left]), doms, spec,
-                                [kinks] * len(doms))
-    doms = [(y, b) for y in (zs + d)[right].tolist()]
-    out[right] += integrate_many(outer(zs[right]), doms, spec,
-                                 [kinks] * len(doms))
+    zo = np.concatenate([zs[left], zs[right]])
+    doms = ([(a, y) for y in (zs - d)[left].tolist()]
+            + [(y, b) for y in (zs + d)[right].tolist()])
+    vals = integrate_many(lambda y, rows: g2(y) / (y - zo[rows, None]) ** 2,
+                          doms, spec, [kinks] * len(doms))
+    nl = int(left.sum())
+    out[left] += vals[:nl]
+    out[right] += vals[nl:]
     out = out / _PI
     return float(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
 

@@ -1,9 +1,10 @@
 """Adaptive quadrature and grid-function utilities.
 
-One adaptive Gauss-Kronrod 7/15 engine drives every integral in the package:
-finite intervals directly, half-lines through the substitution t = u/(1-u),
-applied per domain inside the engine.  The package's one principal value,
-the interval generator, folds the pole away itself
+One adaptive Gauss-Kronrod 7/15 engine drives every integral in the package.
+The engine integrates finite intervals a < b only; :func:`integrate` maps a
+half-line onto (0, 1) by t = u/(1-u), as QUADPACK's QAGI does, and handles
+reversed and empty domains itself.  The package's one principal value, the
+interval generator, folds the pole away itself
 (:func:`.interval.generator_apply`).
 
 The engine runs many integrals at once (:func:`integrate_many`).  Each
@@ -142,31 +143,19 @@ class GridFunction:
         return float(np.max(np.diff(self.nodes)))
 
 
-def _setup(domain: tuple[float, float], points: Sequence[float]):
-    """(flip, shift, breakpoints) of one domain.  ``flip`` says the limits
-    were swapped, so the value changes sign; ``shift`` is the lower limit of
-    a half-line, mapped to (0, 1] by t = u/(1-u), and NaN for a finite
-    interval; the breakpoints are in the engine's variable, and empty for an
-    empty interval."""
+def _breaks(domain: tuple[float, float], points: Sequence[float]) -> list:
+    """Sorted breakpoints of the finite domain (a, b), a < b: its limits and
+    the points strictly inside it.  Anything else, NaN included, raises
+    :class:`DomainError`."""
     a, b = domain
-    if math.isnan(a) or math.isnan(b) or -_INF in (a, b):
-        raise DomainError("integration limits must be finite or +inf")
-    if a == b == _INF:
-        raise DomainError("doubly infinite domains are not supported")
-    flip = a > b
-    if flip:
-        a, b = b, a
-    if b == _INF:
-        return flip, a, sorted({0.0, 1.0, *((p - a) / (1.0 + (p - a))
-                                            for p in points if p > a)})
-    if a == b:
-        return flip, math.nan, []
-    return flip, math.nan, sorted({float(a), float(b),
-                                   *(float(p) for p in points if a < p < b)})
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"integrate_many needs finite domains with a < b, "
+                          f"not {domain!r}")
+    return sorted({float(a), float(b),
+                   *(float(p) for p in points if a < p < b)})
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
-            shift: np.ndarray):
+def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
     """Kronrod estimates and QUADPACK-style errors of the panels
     [lo_j, hi_j] of the integrals rows_j, all from one call of ``f``.
 
@@ -175,18 +164,7 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
     bit, and on scalars the errors, and with them the heap order and the
     stopping decisions, are those of a panel evaluated on its own."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    u = c[:, None] + h[:, None] * _NODES
-    sh = shift[rows]
-    half = ~np.isnan(sh)
-    x = u
-    if half.any():
-        uh = u[half]
-        x = u.copy()
-        x[half] = sh[half, None] + uh / (1.0 - uh)
-    y = np.asarray(f(x, rows))
-    if half.any():
-        y = y.astype(np.result_type(y, 1.0))
-        y[half] = y[half] / (1.0 - uh) ** 2
+    y = np.asarray(f(c[:, None] + h[:, None] * _NODES, rows))
     ik = h * (y * _WK).sum(axis=1)
     ig = h * (y * _WGFULL).sum(axis=1)
     scale = h * (np.abs(y - (ik / (hi - lo))[:, None]) * _WK).sum(axis=1)
@@ -199,25 +177,26 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
     return vals, errs
 
 
-def _adaptive(f, setups, spec: QuadratureSpec) -> list:
-    """Run every integral of ``setups`` to the spec's tolerance; returns the
-    estimates as Python floats (complex for a complex ``f``)."""
-    n = len(setups)
-    shift = np.array([sh for _, sh, _ in setups], dtype=float)
-    owner = [i for i, (_, _, brk) in enumerate(setups) for _ in brk[1:]]
-    lo = [a for _, _, brk in setups for a in brk[:-1]]
-    hi = [b for _, _, brk in setups for b in brk[1:]]
+def _adaptive(f, breaks, spec: QuadratureSpec) -> list:
+    """Run the integral over each breakpoint list of ``breaks`` to the
+    spec's tolerance; returns the estimates as Python floats (complex for a
+    complex ``f``)."""
+    if not breaks:
+        return []
+    n = len(breaks)
+    owner = [i for i, brk in enumerate(breaks) for _ in brk[1:]]
+    lo = [a for brk in breaks for a in brk[:-1]]
+    hi = [b for brk in breaks for b in brk[1:]]
     total, toterr = [0.0] * n, [0.0] * n
     heaps = [[] for _ in range(n)]
-    if owner:
-        vals, errs = _panels(f, np.array(lo), np.array(hi),
-                             np.array(owner, dtype=np.intp), shift)
-        for i, a, b, val, err in zip(owner, lo, hi, vals, errs):
-            total[i] += val
-            toterr[i] += err
-            heapq.heappush(heaps[i], (-err, a, b, val))
+    vals, errs = _panels(f, np.array(lo), np.array(hi),
+                         np.array(owner, dtype=np.intp))
+    for i, a, b, val, err in zip(owner, lo, hi, vals, errs):
+        total[i] += val
+        toterr[i] += err
+        heapq.heappush(heaps[i], (-err, a, b, val))
     splits = [0] * n
-    active = sorted(set(owner))
+    active = range(n)
     while True:
         todo = []
         for i in active:
@@ -243,7 +222,7 @@ def _adaptive(f, setups, spec: QuadratureSpec) -> list:
             lo += (a, m)
             hi += (m, b)
         vals, errs = _panels(f, np.array(lo), np.array(hi),
-                             np.repeat(np.array(todo, dtype=np.intp), 2), shift)
+                             np.repeat(np.array(todo, dtype=np.intp), 2))
         for j, (i, (negerr, a, b, val)) in enumerate(zip(todo, popped)):
             m = hi[2 * j]
             v1, v2 = vals[2 * j], vals[2 * j + 1]
@@ -262,6 +241,9 @@ def integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    points: Sequence[Sequence[float]] = ()) -> np.ndarray:
     """Integrate ``f`` over each of ``domains`` to the spec's tolerance.
 
+    Every domain is a finite interval ``(a, b)`` with ``a < b``; any other
+    domain, a NaN limit included, raises :class:`DomainError` (half-lines,
+    reversed limits and empty domains go through :func:`integrate`).
     ``f(x, rows)`` gets an (k, 15) array of abscissae, one panel per row,
     and the index into ``domains`` of the integral each row belongs to; it
     returns the integrands' values in an array of the same shape.  Every
@@ -270,16 +252,14 @@ def integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``points`` holds one tuple of interior breakpoints per domain (empty for
     none).  Returns the values as a 1-D array, complex if ``f`` is.
 
-    Domains and errors are as in :func:`integrate`; a
-    :class:`NonConvergence` carries the ``index``, estimate and error bound
-    of the integral that failed.
+    Errors are as in :func:`integrate`; a :class:`NonConvergence` carries
+    the ``index``, estimate and error bound of the integral that failed.
     """
     points = list(points) or [()] * len(domains)
     if len(points) != len(domains):
         raise DomainError("points needs one breakpoint tuple per domain")
-    setups = [_setup(d, p) for d, p in zip(domains, points)]
-    vals = _adaptive(f, setups, spec or QuadratureSpec())
-    return np.array([-v if flip else v for v, (flip, _, _) in zip(vals, setups)])
+    breaks = [_breaks(d, p) for d, p in zip(domains, points)]
+    return np.array(_adaptive(f, breaks, spec or QuadratureSpec()))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -288,22 +268,39 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
               points: Sequence[float] = ()) -> float:
     """Integrate ``f`` over ``domain`` to the spec's tolerance.
 
-    ``domain`` is ``(a, b)`` with ``b`` possibly ``math.inf``; half-lines are
-    mapped to (0, 1] by t = u/(1-u) with the Jacobian folded in, so a single
-    adaptive engine serves both cases.  ``points`` are interior breakpoints
-    (known kinks, decay scales) seeding the initial panels; supplying the
-    decay scale of a sharply-cut integrand is the caller's job, the engine
-    cannot see features far below its first panel's nodes.  A complex
-    ``f`` gets a complex result, with the error measured in modulus.  This
-    is :func:`integrate_many` for one domain, with ``f`` given the nodes as
-    a flat 1-D array.  The tolerance bounds an error estimate, not the error.
+    ``domain`` is ``(a, b)``, either limit possibly ``math.inf``.  For a > b
+    the value is minus that over (b, a), for a == b it is 0.0, and a
+    half-line (a, inf) becomes f(a + u/(1-u)) / (1-u)^2 over (0, 1), each
+    breakpoint p > a moved to (p-a)/(1+(p-a)).  ``points`` are interior
+    breakpoints (known kinks, decay scales) seeding the initial panels;
+    supplying the decay scale of a sharply-cut integrand is the caller's
+    job, the engine cannot see features far below its first panel's nodes.
+    A complex ``f`` gets a complex result, with the error measured in
+    modulus.  This is :func:`integrate_many` for one finite domain, with
+    ``f`` given the nodes as a flat 1-D array.  The tolerance bounds an
+    error estimate, not the error.
 
     Raises :class:`NonConvergence` (with ``estimate`` and ``error_bound``,
     that error estimate, attached) if the budget of subdivisions is
     exhausted first or the estimate turns NaN, and :class:`DomainError`
     for a NaN limit, a limit of -inf or a doubly infinite domain.
     """
+    a, b = domain
+    if math.isnan(a) or math.isnan(b) or -_INF in (a, b):
+        raise DomainError("integration limits must be finite or +inf")
+    if a == b == _INF:
+        raise DomainError("doubly infinite domains are not supported")
+    if a > b:
+        return -integrate(f, (b, a), spec, points)
+    if a == b:
+        return 0.0
+    g = f
+    if b == _INF:
+        g = lambda u: f(a + u / (1.0 - u)) / (1.0 - u) ** 2
+        domain = (0.0, 1.0)
+        points = [(p - a) / (1.0 + (p - a)) for p in points if p > a]
+
     def flat(x, rows):
-        return np.asarray(f(x.ravel())).reshape(x.shape)
+        return np.asarray(g(x.ravel())).reshape(x.shape)
 
     return integrate_many(flat, [domain], spec, [points])[0].item()

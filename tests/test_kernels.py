@@ -76,7 +76,7 @@ def test_exit_law_is_the_scalar_interval_sum():
     # call per interval would
     ts = np.linspace(0.2, 3.0, 15)
     _, law_surv = exit_law(1.0, ts)
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     dens = lambda s: exit_density(1.0, s)
     acc = integrate(dens, (0.0, float(ts[0])), spec, points=(1.0,))
     surv = [1.0 - acc]
@@ -84,6 +84,15 @@ def test_exit_law_is_the_scalar_interval_sum():
         acc += integrate(dens, (lo, hi), spec)
         surv.append(1.0 - acc)
     assert law_surv.tolist() == surv
+
+
+def test_exit_law_survival_is_survival():
+    # both integrate to the same tolerance, so the grid's running sum and a
+    # fresh integral per time agree within a few roundings here
+    x, ts = 1.01, np.linspace(0.105, 10.2, 50)
+    _, surv = exit_law(x, ts)
+    ref = [survival(x, t) for t in ts.tolist()]
+    assert np.max(np.abs(surv - ref)) <= 2e-15
 
 
 def test_exit_law_table_consistency():

@@ -211,6 +211,8 @@ ORACLE_CASES = {
                 (abs(0.3 + 0.7j),)),
     "reversed": (lambda x: np.cos(x) / (1 + x * x), (3.0, -1.0),
                  QuadratureSpec(), (0.5,)),
+    "empty": (lambda x: np.cos(x) / (1 + x * x), (1.5, 1.5),
+              QuadratureSpec(), ()),
 }
 
 
@@ -224,11 +226,10 @@ def test_integrate_bit_identical_to_scalar_engine(name):
 
 
 def test_integrate_many_bit_identical_to_scalar_engine():
-    # mixed domains, each integral with its own integrand parameter
-    domains = [(0.0, 1.0), (0.2, math.inf), (4.0, -2.0), (1.5, 1.5),
-               (0.0, 30.0), (1.0, math.inf)]
-    points = [(), (0.7,), (0.0, 1.0), (), (3.0, 10.0), ()]
-    c = np.array([0.5, 1.3, 2.0, 1.0, 0.9, 4.0])
+    # finite domains, each integral with its own integrand parameter
+    domains = [(0.0, 1.0), (-2.0, 4.0), (0.0, 30.0)]
+    points = [(), (0.0, 1.0), (3.0, 10.0)]
+    c = np.array([0.5, 2.0, 0.9])
 
     def scalar(k):
         return lambda x: (np.sin(c[k] * x) * np.exp(-np.abs(x) / c[k])
@@ -244,6 +245,15 @@ def test_integrate_many_bit_identical_to_scalar_engine():
     ref = [_oracle(scalar(k), d, spec, p)
            for k, (d, p) in enumerate(zip(domains, points))]
     assert vals.tolist() == ref
+
+
+@pytest.mark.parametrize("domain", [(0.2, math.inf), (4.0, -2.0),
+                                    (1.5, 1.5), (math.nan, 1.0)],
+                         ids=["half_line", "reversed", "empty", "nan"])
+def test_integrate_many_takes_finite_increasing_domains_only(domain):
+    # half-lines, reversed limits and empty domains are integrate's to map
+    with pytest.raises(DomainError):
+        integrate_many(lambda x, rows: x, [(0.0, 1.0), domain])
 
 
 def test_integrate_many_nonconvergence_names_the_integral():
