@@ -42,7 +42,15 @@ def output_schema() -> dict:
     return json.loads(ref.read_text())
 
 
+class _Help(argparse.HelpFormatter):
+    def __init__(self, prog):     # argparse's width off a terminal, fixed
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):     # no formatter probes the terminal
+        super().__init__(formatter_class=_Help, **kwargs)
+
     def error(self, message):     # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

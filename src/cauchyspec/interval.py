@@ -12,7 +12,8 @@ Two independent pipelines bracket each eigenvalue lambda_n:
   average is closed form by the Legendre addition theorem (DLMF 14.18), a
   polynomial in s read off P_m and P_m' at sqrt(1 - s^2) and at 0, and each
   entry a polynomial in sigma = s^2, so Fejer's first rule with N+1 nodes
-  in sigma is exact (see :func:`assemble_rayleigh_ritz`).
+  in sigma, its weights summed directly from their cosine series, is exact
+  (see :func:`assemble_rayleigh_ritz`).
 
 * lower bounds: the method of intermediate problems.  After mapping to a
   strip, the problem becomes  A f = lambda (1 - T^2) f  with A the
@@ -33,8 +34,8 @@ merge them in one order (``_descending``), and nothing is cached between
 calls.
 
 Working set: nothing full-size is formed that only a block is read from.
-The rows of each Ritz block are filled one degree at a time from the
-three-term Legendre recurrence at the Fejer nodes and at 0
+The rows of each Ritz block are filled one degree at a time, in one array
+step, from the Legendre recurrence at the Fejer nodes and at 0
 (``_rr_blocks``).  The pencil is built per parity block straight from the
 two bands of the coupling (``_pencil_block``): the lower bounds form no
 dense C, no full B and no full S, and :func:`assemble_intermediate`
@@ -287,19 +288,24 @@ def _fejer(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for polynomials of degree n - 1: the nodes sigma_k = cos^2(theta_k/2),
     theta_k = (2k+1) pi/(2n), returned as s_k = cos(theta_k/2) and
     c_k = sin(theta_k/2) (so s_k^2 = sigma_k and c_k^2 = 1 - sigma_k, each
-    to rounding), and the weights
+    to rounding), and the weights (Waldvogel, BIT 46, 2006)
 
-        w_k = (1/n) (1 - 2 sum_{j=1}^{floor(n/2)} cos(2 j theta_k)/(4j^2 - 1)),
+        w_k = (1/n) (1 - 2 sum_{j=1}^{(n-1)//2} cos(2 j theta_k)/(4j^2 - 1))
 
-    a DCT-III of the sequence 1, 0, -1/3, 0, -1/15, ..., evaluated as one
-    FFT (Waldvogel, BIT 46, 2006)."""
+    (for an even n the term j = n/2, cos(n theta_k), is 0), summed directly
+    for the first ceil(n/2) nodes, 64 at a time to bound the temporaries,
+    and mirrored: w_k = w_{n-1-k} exactly."""
     half = (np.arange(n) + 0.5) * (_PI / (2 * n))
-    # 2j <= n - 1: for an even n the term j = n/2, cos(n theta_k), is 0
-    j = np.arange(1, (n + 1) // 2)
-    b = np.zeros(2 * n, dtype=complex)
-    b[0] = 1.0
-    b[2 * j] = -2.0 / (4.0 * j * j - 1.0) * np.exp(1j * _PI * j / n)
-    return np.cos(half), np.sin(half), 2.0 * np.fft.ifft(b)[:n].real
+    h, w = (n + 1) // 2, np.empty(n)
+    j, odd = np.arange(1, h), np.arange(1, 2 * h, 2)
+    b = 2.0 / (4.0 * j * j - 1.0)
+    cosines = np.cos(np.arange(2 * n) * (_PI / n))    # cos(i pi/n), i < 2n
+    for k in range(0, h, 64):
+        # cos(2 j theta_k) = cos(i pi/n) for i = j (2k+1) mod 2n
+        i = np.outer(odd[k:k + 64], j) % (2 * n)
+        w[k:k + i.shape[0]] = (1.0 - cosines[i] @ b) / n
+    w[h:] = w[:n - h][::-1]
+    return np.cos(half), np.sin(half), w
 
 
 def _rr_blocks(N: int) -> list[np.ndarray]:
@@ -311,23 +317,29 @@ def _rr_blocks(N: int) -> list[np.ndarray]:
     s, c, w = _fejer(N + 1)
     x = np.append(c, 0.0)
     U = [np.empty(((N + 1) // 2, N + 1)), np.empty((N // 2, N + 1))]
-    # P_{-1} = 0 makes the step to m = 1 give P_1 = x and P_1' = 1 exactly
-    p_, dp_, dp = np.zeros((3, x.size))
-    p = np.ones_like(x)
+    at0 = np.empty(N)          # P_m(0) for an even m and P_m'(0) for an odd
+    # P, P' of degree m in cur, m - 1 in prev; P_{-1} = 0 makes P_1 = x exact
+    prev, cur, tmp = np.zeros((3, 2, x.size))
+    cur[0] = 1.0
     for m in range(N):
-        if m:
+        if m:      # f0 P_{m-2} + f1 x P_{m-1}; f0 P' + (f1 x P' + f1 P)
             f0, f1 = -(m - 1) / m, (2 * m - 1) / m
-            fx = f1 * x
-            p_, p, dp_, dp = (p, f0 * p_ + fx * p,
-                              dp, f0 * dp_ + (fx * dp + f1 * p))
-        if m % 2 == 0:
-            U[0][m // 2] = p[-1] * p[:-1]
-        else:
-            U[1][m // 2] = s * dp[-1] * dp[:-1] / (m * (m + 1))
+            np.multiply(f1 * x, cur, tmp)
+            tmp[1] += f1 * cur[0]
+            prev *= f0
+            prev += tmp
+            prev, cur = cur, prev
+        U[m % 2][m // 2] = cur[m % 2, :-1]
+        at0[m] = cur[m % 2, -1]
+    del prev, cur, tmp           # not held through the Gram products below
+    # u_m as rounded in the order p(0) p(c), resp. (s p'(0)) p'(c)/(m(m+1))
+    U[0] *= at0[0::2, None]
+    m = np.arange(1, N, 2)[:, None]
+    U[1] *= s * at0[1::2, None]
+    U[1] /= m * (m + 1)
     nu = np.sqrt(np.arange(N) + 0.5)
     blocks = []
-    for q in range(min(N, 2)):
-        Uq = U[q]
+    for q, Uq in enumerate(U[:min(N, 2)]):
         a = (Uq * (0.5 * w)) @ Uq.T                    # s ds = d sigma / 2
         blocks.append(_PI * 0.5 * (a + a.T) * np.outer(nu[q::2], nu[q::2]))
     return blocks
@@ -380,7 +392,7 @@ def upper_bounds(N: int, count: int | None = None) -> np.ndarray:
     count = N if count is None else count
     _integer("count", count, 0, N)
     spectra = [sym_eig(a)[0] for a in _rr_blocks(N)]
-    if min(t[0] for t in spectra) <= 0:
+    if not all(t[0] > 0 for t in spectra):        # False for NaN too
         raise CauchySpecError("Rayleigh-Ritz matrix is not positive "
                               "definite; assembly is broken")
     return 1.0 / np.concatenate(spectra)[_descending(spectra)[:count]]

@@ -6,7 +6,9 @@ is returned, because the eigenvalue-bound pipeline downstream treats these
 numbers as evidence, not as best-effort output; an SPD solve is certified by
 its Cholesky factorization.  Matrices are plain arrays; each routine works
 on a copy whose upper triangle mirrors the lower one, so symmetry holds bit
-for bit, and the pencil solve scales and mirrors that one copy in place.
+for bit; the pencil solve scales that one copy in place and mirrors it once,
+after scaling.  The certificate fails closed: an eigenvalue, residual or
+orthogonality defect that is not finite fails it, as one out of bound does.
 """
 
 from __future__ import annotations
@@ -28,19 +30,19 @@ DEGENERACY_THRESHOLD = 1e-12
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:
-    """a, its lower triangle mirrored into the upper in place, row by row."""
-    for i in range(a.shape[0] - 1):
-        a[i, i + 1:] = a[i + 1:, i]
+    """a, its lower triangle mirrored into the upper in place, in one
+    masked copy (numpy buffers the overlapping a.T in a transient copy)."""
+    np.copyto(a, a.T, where=~np.tri(a.shape[0], dtype=bool))
     return a
 
 
-def _symmetric(M) -> np.ndarray:
-    """A float copy of M with the lower triangle mirrored into the upper;
-    DomainError unless M is square, 2-D, nonempty and finite."""
+def _square(M) -> np.ndarray:
+    """A float copy of M; DomainError unless M is square, 2-D, nonempty and
+    finite."""
     a = _finite("matrix", M)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DomainError("need a nonempty square 2-D array")
-    return _mirror(a.copy())
+    return a.copy()
 
 
 def sym_eig(M: np.ndarray):
@@ -51,7 +53,7 @@ def sym_eig(M: np.ndarray):
     orthonormality are verified explicitly, and a failed certificate raises
     :class:`NonConvergence` rather than returning unverified numbers.
     """
-    return _sym_eig(_symmetric(M))
+    return _sym_eig(_mirror(_square(M)))
 
 
 def _sym_eig(a: np.ndarray):
@@ -68,7 +70,9 @@ def _sym_eig(a: np.ndarray):
     o = vec.T @ vec
     o.reshape(-1)[::a.shape[0] + 1] -= 1.0     # minus the identity
     ortho = np.abs(o, out=o).max()
-    if resid > CERT_TOL * norm * a.shape[0] or ortho > CERT_TOL * a.shape[0]:
+    # each comparison is False for NaN: the certificate fails closed
+    if not (norm < np.inf and resid <= CERT_TOL * norm * a.shape[0]
+            and ortho <= CERT_TOL * a.shape[0]):
         raise NonConvergence(
             f"eigendecomposition certificate failed (residual {resid:.2e}, "
             f"orthogonality defect {ortho:.2e})",
@@ -85,7 +89,7 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solver (`numpy.linalg.solve`), which at these sizes is faster than two
     triangular solves on the factor through numpy.
     """
-    a = _symmetric(M)
+    a = _mirror(_square(M))
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -101,9 +105,10 @@ def generalized_sym_eig(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     theta <= DEGENERACY_THRESHOLD (S not safely positive there) carry no
     finite eigenvalue; they are dropped from the result and reported through
     a :class:`DegeneratePencil` warning.  The copy of S is scaled, by rows
-    and then by columns, and mirrored in place, with no second copy.
+    and then by columns, and mirrored in place, with no second copy kept;
+    the entries above the diagonal are scaled but never used.
     """
-    s = _symmetric(S)
+    s = _square(S)
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.shape[0] != s.shape[0]:
         raise DomainError("diagonal length must match the matrix order")

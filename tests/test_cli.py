@@ -23,8 +23,8 @@ def run_cli(args, tmp_path, name="out"):
 def test_cli_import_leaves_heavy_modules_unloaded():
     # the subcommands import what they need; loading the CLI alone keeps
     # every process's start-up cost down
-    lazy = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.random",
-            "cauchyspec.checks")
+    lazy = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.fft",
+            "numpy.random", "cauchyspec.checks")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cauchyspec.cli; "
@@ -68,14 +68,15 @@ def test_every_subcommand_loads_no_scipy_subpackage():
     assert proc.stdout.strip() == repr([[]] * 8)
 
 
-def test_subcommands_and_pi_transform_run_with_scipy_special_refused():
-    # an import hook refuses scipy.special: every subcommand above and the
-    # Pi transform on the benchmark's transform grid still succeed
+def run_refusing(module):
+    """Stdout of every subcommand above and the Pi transform on the
+    benchmark's transform grid, in a process whose import hook refuses
+    ``module`` and its submodules."""
     script = f"""
-import contextlib, io, math, sys
+import contextlib, importlib, io, math, sys
 class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[:2] == ["scipy", "special"]:
+        if (name + ".").startswith({module!r} + "."):
             raise ImportError(name + " refused")
 sys.meta_path.insert(0, Refuse())
 import numpy as np
@@ -89,13 +90,24 @@ lam, dx = np.linspace(1.0, 2.0, 201), math.pi / 24.0
 pif = pi_transform(GridFunction.from_samples(lam, bump(lam)),
                    np.arange(dx, 120.0, dx))
 try:                                    # the hook does refuse it
-    import scipy.special
+    importlib.import_module({module!r})
 except ImportError:
-    print(pif.values.size, "scipy.special" in sys.modules, "refused")
+    print(pif.values.size, {module!r} in sys.modules, "refused")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == ["916", "False", "refused"]
+    return proc.stdout.split()
+
+
+def test_subcommands_and_pi_transform_run_with_scipy_special_refused():
+    # no step here reads erfc, the one scipy.special function r uses
+    assert run_refusing("scipy.special") == ["916", "False", "refused"]
+
+
+def test_subcommands_and_pi_transform_run_with_numpy_fft_refused():
+    # the Fejer weights are a direct cosine sum, and the remainder tables,
+    # whose build takes an FFT, are read from their files
+    assert run_refusing("numpy.fft") == ["916", "False", "refused"]
 
 
 def test_validate_leaves_scipy_integrate_unloaded():
@@ -109,6 +121,20 @@ def test_validate_leaves_scipy_integrate_unloaded():
          "print(code, 'scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 False"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eigs", "--help"]])
+def test_help_does_not_depend_on_the_terminal(argv, monkeypatch, capsys):
+    # the help formatter has a fixed width of 78, argparse's width when
+    # stdout is no terminal, so COLUMNS does not reach the text
+    text = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text.append(capsys.readouterr().out)
+    assert text[0] == text[1]
 
 
 def test_usage_error_exit_code():

@@ -15,7 +15,7 @@ from cauchyspec import (CauchySpecError, DegeneratePencil, DomainError,
 from cauchyspec.checks import residual_bound
 from cauchyspec import interval
 from cauchyspec.interval import (PHI_KINKS, REFERENCE_BRACKETS, _descending,
-                                 _rr_blocks, assemble_intermediate,
+                                 _fejer, _rr_blocks, assemble_intermediate,
                                  assemble_rayleigh_ritz, gram_entry)
 from cauchyspec.linalg import sym_eig
 
@@ -308,6 +308,30 @@ def test_newton_gauss_rule_matches_mpmath():
             assert abs(w[k] - wk) <= 1.2e-16 * wk
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 26, 201])
+def test_fejer_rule_exact_and_symmetric(n):
+    # n nodes integrate sigma^d, d <= n - 1, to rounding, and the weights
+    # of k and n - 1 - k are one number
+    s, _, w = _fejer(n)
+    d = np.arange(n)
+    assert np.abs(((s * s) ** d[:, None]) @ w - 1.0 / (d + 1)).max() <= 4e-16
+    assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n, tol", [(26, 3e-17), (201, 6e-18)])
+def test_fejer_weights_match_mpmath(n, tol):
+    # the cosine sum of the weights at 30 digits; an FFT of the sum, the
+    # usual way to evaluate it, is off by 1.3e-17 (n = 26), 4.2e-18 (n = 201)
+    mp = pytest.importorskip("mpmath")
+    w = _fejer(n)[2]
+    with mp.workdps(30):
+        for k in range((n + 1) // 2):
+            t = (2 * k + 1) * mp.pi / n
+            wk = (1 - sum(2 * mp.cos(j * t) / (4 * j * j - 1)
+                          for j in range(1, (n + 1) // 2))) / n
+            assert abs(w[k] - wk) <= tol, k
+
+
 def assemble_theta_grid(N):
     """The same matrix from a direct average over theta: P_m by its
     three-term recurrence on the grid z = s cos(theta) of N+2 Gauss points
@@ -383,6 +407,14 @@ def test_upper_bounds_reject_an_indefinite_block_at_any_count(monkeypatch):
     for count in (1, 4):
         with pytest.raises(CauchySpecError, match="not positive definite"):
             upper_bounds(4, count)
+
+
+def test_upper_bounds_reject_a_nan_spectrum(monkeypatch):
+    # NaN compares false, so the guard asks for theta > 0, not theta <= 0
+    monkeypatch.setattr(interval, "sym_eig", lambda a: (
+        np.array([np.nan, 1.0]) if a.shape[0] == 2 else np.ones(1), None))
+    with pytest.raises(CauchySpecError, match="not positive definite"):
+        upper_bounds(3)
 
 
 def test_upper_bounds_monotone_in_basis():

@@ -6,6 +6,7 @@ import pytest
 from cauchyspec import (DegeneratePencil, NonConvergence, NotPositiveDefinite,
                         generalized_sym_eig, solve_spd, sym_eig)
 from cauchyspec.interval import assemble_intermediate
+from cauchyspec.linalg import _mirror
 
 
 def test_sym_matrix_enforces_symmetry():
@@ -73,6 +74,15 @@ def test_sym_eig_certificate_rejects_residual_defect(monkeypatch):
     with pytest.raises(NonConvergence, match="certificate failed") as exc:
         sym_eig(m)
     assert 1e-7 < exc.value.error_bound < 1e-5
+
+
+def test_sym_eig_certificate_rejects_nan_eigenvalue(monkeypatch):
+    # a NaN eigenvalue makes the norm, the tolerance and the residual NaN,
+    # and every comparison with NaN is false: the certificate fails closed
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        np.array([np.nan, 1.0, 2.0, 3.0]), np.eye(4)))
+    with pytest.raises(NonConvergence, match="certificate failed"):
+        sym_eig(np.diag([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_sym_eig_certificate_rejects_non_orthonormal_vectors(monkeypatch):
@@ -147,3 +157,25 @@ def test_generalized_working_set():
         tracemalloc.stop()
     assert np.array_equal(lam, expected)
     assert peak <= 4.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 101])
+def test_mirror_matches_row_loop(n):
+    # the masked copy gives every bit of a row-by-row mirror, -0.0 included
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a[rng.random((n, n)) < 0.2] = -0.0
+    ref = a.copy()
+    for i in range(n - 1):
+        ref[i, i + 1:] = ref[i + 1:, i]
+    assert _mirror(a.copy()).tobytes() == ref.tobytes()
+
+
+def test_generalized_ignores_upper_triangle():
+    # the pencil mirrors its copy once, after scaling: what lies above the
+    # diagonal of S does not reach a bit of the result
+    _, _, d, S = assemble_intermediate(40)
+    s, dp = S[0::2, 0::2], d[0::2]
+    noisy = s + np.triu(np.random.default_rng(5).standard_normal(s.shape), 1)
+    assert (generalized_sym_eig(noisy, dp).tobytes()
+            == generalized_sym_eig(s, dp).tobytes())
