@@ -28,26 +28,25 @@ a table's first read: no process samples a formula or builds the Laplace
 rule to read a table, and values read from one do not depend on scipy.
 ``_LogChebTable.build`` makes them from the defining formula (sampled at
 Chebyshev points, transformed by numpy's FFT), and a test checks that each
-file holds its build bit for bit.  The remainder r,
-which sits under psi, Pi, the spectral heat kernel and the interval
-eigenfunctions, is read on 1e-12 < x < 1e4 from (1+x)^2 r(x) (2 panels per
-decade, degree 16), within a few ulps of the rule.  The exit kernel f,
-which sits in every heat-kernel and exit-law integrand, is read on
-1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s (4 panels per decade, degree 16),
-within 1e-14 relative of its closed form through Ti2 and several times
-cheaper per point.
+file holds its build bit for bit.  The remainder r, which sits under psi,
+Pi, the spectral heat kernel and the interval eigenfunctions, is read on
+1e-12 < x < 1e4 from (1+x)^2 r(x) (32 panels per decade, degree 6), within
+a few ulps of the rule.  The exit kernel f, which sits in every heat-kernel
+and exit-law integrand, is read on 1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s
+(16 panels per decade, degree 8), within 1e-14 relative of its closed form
+through Ti2 and about twice as cheap per point.  Narrow panels keep the
+degree, and so a read's Clenshaw steps, low.
 
 Working set: every large evaluation runs in blocks of _TABLE_BLOCK (32768)
 points.  A table read runs each block's Clenshaw recurrence in place in
-three arrays, the Laplace rule takes 17 points (one table panel) per block
-of its exponential matrix, whose entries that underflow it sets to 0.0
-rather than computing them, and :func:`pi_transform` takes its outputs in
-column blocks of about _TABLE_BLOCK pairs through two reused buffers, so
-its traced peak stays near 2.5 MiB however large the grid.  Table reads
-and psi are elementwise, so their blocks leave every bit as the whole-array
-formula gives it; the rule's matrix-vector product sums in an order that
-depends on the rows of its block, so r off the tables can move in the last
-bit with the size of the batch.
+three arrays, the Laplace rule takes 17 points per block of its
+exponential matrix, whose entries that underflow it sets to 0.0 rather
+than computing them, and :func:`pi_transform` takes its outputs in column
+blocks of about _TABLE_BLOCK pairs through two reused buffers, so its
+traced peak stays near 2.5 MiB however large the grid.  Table reads and
+psi are elementwise, and the rule sums each row of its matrix on its own
+(numpy's pairwise sum), so every block leaves every bit as the whole-array
+formula gives it: a point's r is the same alone and in any batch.
 
 Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
@@ -208,7 +207,7 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     t, wt, T, amp = _laplace_rule()
     xr = np.minimum(x, 1e3 / _RULE_LO)
     out = np.empty_like(x)
-    block = _TABLE_BLOCK // t.size       # 17 rows: one panel of _R_TABLE
+    block = _TABLE_BLOCK // t.size       # 17 rows
     e = np.empty((min(block, x.size), t.size))
     for i in range(0, x.size, block):
         xb = xr[i:i + block]
@@ -220,8 +219,9 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
         np.multiply(xb[:, None], t[:n], out=live)
         np.negative(live, out=live)
         np.exp(live, out=live)
+        live *= wt[:n]
         eb[:, n:] = 0.0
-        out[i:i + block] = eb @ wt
+        eb.sum(axis=1, out=out[i:i + block])
     return out + amp * _tail(xr, T) + _head(x)
 
 
@@ -256,13 +256,12 @@ class _LogChebTable:
         """The coefficient columns from fn itself, which are what a table's
         file holds: ``np.save(table.file, np.array(table.build()))``
         writes it.  g is sampled at the first-kind Chebyshev points of all
-        panels in one call of fn; the Laplace rule of r runs in blocks of one
-        panel's 17 points, so each sample is the one a call per panel gives.
-        The DCT-II of all panels is one real FFT of their even extensions,
-        each coefficient k turned by e^{-i pi k/(2m)} (the basis is not
-        formed by recurrence, whose rounding would cost a digit).  When g is
-        bounded and analytic in u the interpolants converge geometrically to
-        the rounding level of fn."""
+        panels in one call of fn, each sample the one fn gives that point
+        alone.  The DCT-II of all panels is one real FFT of their even
+        extensions, each coefficient k turned by e^{-i pi k/(2m)} (the basis
+        is not formed by recurrence, whose rounding would cost a digit).
+        When g is bounded and analytic in u the interpolants converge
+        geometrically to the rounding level of fn."""
         m = self.degree + 1
         s = np.cos(_PI * (np.arange(m) + 0.5) / m)
         k = np.arange(self.panels)[:, None]
@@ -329,9 +328,10 @@ def _remainder_by_rule(x: np.ndarray) -> np.ndarray:
 
 
 #: r as (1+x)^2 r(x), which lies between about 0.2 and 0.4, on
-#: (1e-12, 1e4), 2 panels per decade of degree 16
+#: (1e-12, 1e4), 32 panels per decade of degree 6: within 1.5e-15 of the
+#: rule on 40001 geometric points and 1.3e-15 at the panel edges
 _R_TABLE = _LogChebTable(_remainder_by_rule, lambda x: (1.0 + x) ** 2,
-                         1e-12, 1e4, 2, 16, "remainder.npy")
+                         1e-12, 1e4, 32, 6, "remainder.npy")
 
 
 def remainder(x):
@@ -419,12 +419,13 @@ def _f_closed(s: np.ndarray) -> np.ndarray:
 
 
 #: f as q(s) = f(s) (1+s)^{3/2}/s, bounded and analytic in log s, on
-#: (1e-12, 1e12), 4 panels per decade of degree 16: arctan's branch points
-#: lie only pi/2 off the real log s axis, and with 2 panels per decade the
-#: error reaches 5e-14 near s = 1
+#: (1e-12, 1e12), 16 panels per decade of degree 8, within 7.6e-15 of the
+#: closed form on 200001 geometric points: arctan's branch points lie only
+#: pi/2 off the real log s axis, and degree 7, or 8 panels per decade, reach
+#: 9e-14 and 1e-12
 _F_TABLE = _LogChebTable(_f_closed,
                          lambda s: (1.0 + s) * np.sqrt(1.0 + s) / s,
-                         1e-12, 1e12, 4, 16, "f_exit.npy")
+                         1e-12, 1e12, 16, 8, "f_exit.npy")
 
 
 def _f(s: np.ndarray) -> np.ndarray:

@@ -29,10 +29,19 @@ CERT_TOL = 1e-12
 DEGENERACY_THRESHOLD = 1e-12
 
 
+#: rows per block of :func:`_mirror`
+_MIRROR_ROWS = 64
+
+
 def _mirror(a: np.ndarray) -> np.ndarray:
-    """a, its lower triangle mirrored into the upper in place, in one
-    masked copy (numpy buffers the overlapping a.T in a transient copy)."""
-    np.copyto(a, a.T, where=~np.tri(a.shape[0], dtype=bool))
+    """a, its lower triangle mirrored into the upper in place, _MIRROR_ROWS
+    rows at a time, so that numpy buffers one diagonal block at most."""
+    upper = ~np.tri(_MIRROR_ROWS, dtype=bool)
+    for k in range(0, a.shape[0], _MIRROR_ROWS):
+        e = k + _MIRROR_ROWS
+        d = a[k:e, k:e]
+        np.copyto(d, d.T, where=upper[:len(d), :len(d)])
+        a[k:e, e:] = a[e:, k:e].T
     return a
 
 

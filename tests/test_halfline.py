@@ -94,6 +94,26 @@ def test_remainder_table_seams():
     assert _table_deviation(_seams(_R_TABLE, 4)) <= TABLE_RTOL
 
 
+def test_remainder_table_on_transform_traffic():
+    # every 50th pair lam x of the benchmark's Pi transforms: lam over
+    # [a, a + 1] with 201 nodes for a = 1 and 1.05, x = j pi/24 below 120
+    dx = math.pi / 24.0
+    xs = np.concatenate([(np.linspace(a, a + 1.0, 201)[:, None]
+                          * np.arange(dx, 120.0, dx)).ravel()[::50]
+                         for a in (1.0, 1.05)])
+    assert _table_deviation(xs) <= TABLE_RTOL
+
+
+@pytest.mark.parametrize("xs", [np.geomspace(1e4, 1e6, 17),
+                                np.geomspace(1e-14, 1e-12, 9)],
+                         ids=["above", "below"])
+def test_remainder_off_table_does_not_depend_on_the_batch(xs):
+    # the Laplace rule sums each row of its block on its own, so a point
+    # gives every bit alone that it gives in a batch
+    alone = np.array([remainder(float(x)) for x in xs])
+    assert np.array_equal(alone.view(np.uint64), remainder(xs).view(np.uint64))
+
+
 def test_remainder_monotone_across_table_limits():
     # outside the table r comes from the Laplace rule
     for lim in (_R_TABLE.lo, _R_TABLE.hi):
@@ -102,8 +122,9 @@ def test_remainder_monotone_across_table_limits():
 
 
 def test_remainder_table_top_edge_index():
-    # the top of the range lies on the edge of a 33rd panel that does not
-    # exist: log(1e4) gives index 32 of 32 exactly, so the index is clipped
+    # the top of the range lies on the lower edge of a panel one past the
+    # last: log(1e4) gives an index equal to the panel count exactly, so the
+    # index is clipped to the last panel
     xs = np.array([9999.999999, np.nextafter(_R_TABLE.hi, 0.0), _R_TABLE.hi])
     table = _R_TABLE.read(xs)
     assert np.all(np.abs(table / _laplace_of_weight(xs) - 1.0) <= TABLE_RTOL)
@@ -196,14 +217,14 @@ print(code, halfline._laplace_rule.cache_info().currsize,
 
 def test_laplace_rule_skips_only_exponentials_that_underflow():
     # the columns of a block past the underflow threshold are set to 0.0,
-    # not computed: the matrix, and so its product, is the plain form's
+    # not computed: the matrix, and so each row's sum, is the plain form's
     t, wt, T, amp = _laplace_rule()
     x = np.concatenate((np.geomspace(1e-16, 1e16, 4001),
                         [_R_TABLE.lo, _R_TABLE.hi]))
     xr = np.minimum(x, 1e3 / _RULE_LO)
     block = _TABLE_BLOCK // t.size
-    rule = np.concatenate([np.exp(-np.outer(xr[i:i + block], t)) @ wt
-                           for i in range(0, x.size, block)])
+    rule = np.concatenate([(np.exp(-np.outer(xr[i:i + block], t)) * wt)
+                           .sum(axis=1) for i in range(0, x.size, block)])
     ref = rule + amp * _tail(xr, T) + _head(x)
     assert np.array_equal(_laplace_of_weight(x).view(np.uint64),
                           ref.view(np.uint64))

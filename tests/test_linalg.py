@@ -159,9 +159,10 @@ def test_generalized_working_set():
     assert peak <= 4.5 * 8 * n * n
 
 
-@pytest.mark.parametrize("n", [1, 2, 50, 101])
+@pytest.mark.parametrize("n", [1, 2, 50, 101, 300])
 def test_mirror_matches_row_loop(n):
-    # the masked copy gives every bit of a row-by-row mirror, -0.0 included
+    # the blocked copy gives every bit of a row-by-row mirror, -0.0 included,
+    # inside one diagonal block and across block edges
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     a[rng.random((n, n)) < 0.2] = -0.0
@@ -169,6 +170,20 @@ def test_mirror_matches_row_loop(n):
     for i in range(n - 1):
         ref[i, i + 1:] = ref[i + 1:, i]
     assert _mirror(a.copy()).tobytes() == ref.tobytes()
+
+
+def test_mirror_working_set():
+    # one diagonal block is buffered at a time, not a copy of the whole
+    # transpose (8 MB at n = 1000)
+    a = np.random.default_rng(7).standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        _mirror(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, a.T)
+    assert peak <= 1 << 20
 
 
 def test_generalized_ignores_upper_triangle():
