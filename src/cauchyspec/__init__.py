@@ -3,7 +3,18 @@ domain: generalized eigenfunctions, heat kernel and exit-time law on the
 half-line (0, inf), and certified two-sided eigenvalue brackets with
 eigenfunction approximations on the interval (-1, 1).  Invalid arguments
 raise DomainError, a ValueError, by the input rules of :mod:`.errors`.
+
+The package imports every module whose names it re-exports except the
+Monte Carlo cross-check, :mod:`.montecarlo`, which only ``validate --level
+full`` and its own callers use.  ``cauchyspec.montecarlo`` is bound to a lazily
+loaded module, registered in ``sys.modules`` at import, which executes on
+its first attribute access; the five names it exports resolve through it
+on first use.  Until then neither it nor the thread pool it runs on
+(``concurrent.futures``, which loads ``logging``) is loaded.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -19,10 +30,12 @@ from .interval import (REFERENCE_BRACKETS, EigBound, assemble_intermediate,
                        residual_norm, rr_eigenfunction, tilde_phi,
                        tilde_phi_norm2, upper_bounds)
 from .linalg import generalized_sym_eig, solve_spd, sym_eig
-from .montecarlo import (McConfig, McEstimate, estimate_survival,
-                         refinement_study, sample_cauchy_increments)
 from .quadrature import GridFunction, QuadratureSpec, integrate, integrate_many
 from .specialfun import CATALAN, b_complex, eta, ti2
+
+#: what :mod:`.montecarlo` exports, resolved on first use
+_MONTECARLO_NAMES = ("McConfig", "McEstimate", "sample_cauchy_increments",
+                     "estimate_survival", "refinement_study")
 
 __all__ = [
     "__version__",
@@ -45,6 +58,29 @@ __all__ = [
     "green_moment", "assemble_rayleigh_ritz", "upper_bounds",
     "assemble_intermediate", "lower_bounds", "bracket", "rr_eigenfunction",
     # Monte Carlo
-    "McConfig", "McEstimate", "sample_cauchy_increments", "estimate_survival",
-    "refinement_study",
+    *_MONTECARLO_NAMES,
 ]
+
+
+def _lazy_submodule(name):
+    """The submodule ``name`` in ``sys.modules``, executed on first
+    attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+montecarlo = _lazy_submodule("montecarlo")
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,7 +5,8 @@ Each :class:`Check` has an id, a level, a tolerance and a measuring
 function, and passes when the measured value is at most the tolerance.
 ``cauchyspec validate --level quick`` runs the ``quick`` checks and
 ``--level full`` all of them, in registry order; the acceptance tests run
-each check once.  The CLI imports this module only when it validates.
+each check once.  The CLI imports this module only when it validates, and
+only the full-level Monte Carlo check imports :mod:`.montecarlo`.
 Reference integrals use the package's own adaptive quadrature, so
 validating never loads ``scipy.integrate``.
 """
@@ -23,7 +24,6 @@ from .halfline import (heat_kernel, heat_kernel_spectral, laplace_psi,
                        survival)
 from .interval import (bracket, gram_entry, green_moment, mu_asymptotic,
                        q_cutoff, reference_excess)
-from .montecarlo import McConfig, refinement_study
 from .quadrature import GridFunction, QuadratureSpec, integrate
 from .specialfun import CATALAN, b_complex, eta
 
@@ -245,6 +245,7 @@ def _mc_refinement():
     # the upward-biased estimates decrease as dt shrinks (shared paths make
     # this exact), none falls more than 3 standard errors below the closed
     # form, and the excess above it shrinks
+    from .montecarlo import McConfig, refinement_study
     s11 = survival(1.0, 1.0)
     cfg = McConfig(paths=100_000, dt=1e-3, horizon=1.0, seed=20270405)
     study = refinement_study(1.0, 1.0, cfg)

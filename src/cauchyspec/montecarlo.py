@@ -18,6 +18,10 @@ pool with one worker per CPU the process may run on (its affinity mask);
 the draws and array passes release the interpreter lock, so the batches run
 in parallel.  Results depend only on (seed, paths, batch count), not on the
 block length, the number of workers or the order of execution.
+
+The package executes this module on first use, not at import: only
+``validate --level full`` and direct callers load it, and with it
+``concurrent.futures`` and ``logging``.
 """
 
 from __future__ import annotations

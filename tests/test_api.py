@@ -1,6 +1,8 @@
 """The package exports exactly what the numerical modules declare, and
 its error types form one hierarchy."""
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,33 @@ def test_package_all_is_union_of_module_all():
     expected = declared | error_types | {"__version__"}
     assert sorted(cauchyspec.__all__) == sorted(expected)
     assert all(hasattr(cauchyspec, entry) for entry in cauchyspec.__all__)
+
+
+def test_public_names_resolve_in_a_fresh_process():
+    # the Monte Carlo names load their module on first use, through the
+    # package's __getattr__; a fresh process sees that first use
+    script = """
+import cauchyspec
+names = cauchyspec.__all__
+assert "McConfig" in dir(cauchyspec) and "montecarlo" in dir(cauchyspec)
+assert not hasattr(cauchyspec, "nope")
+try:
+    cauchyspec.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'cauchyspec' has no attribute 'nope'", exc
+resolved = [n for n in names if getattr(cauchyspec, n, None) is not None]
+star = {}
+exec("from cauchyspec import *", star)
+import cauchyspec.montecarlo as mc
+print(resolved == names, sorted(set(star) - {"__builtins__"}) == sorted(names),
+      cauchyspec.montecarlo is mc, type(mc).__name__,
+      cauchyspec.McConfig is mc.McConfig,
+      cauchyspec.refinement_study is mc.refinement_study)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "True", "True", "module", "True",
+                                   "True"]
 
 
 def test_error_hierarchy():

@@ -20,15 +20,43 @@ def run_cli(args, tmp_path, name="out"):
     return code, path.read_text() if path.exists() else ""
 
 
+#: defines loaded(name) in a test process: the module is in sys.modules
+#: and has run, where a LazyLoader entry runs on its first attribute access
+LOADED = """
+import sys
+def loaded(name):
+    mod = sys.modules.get(name)
+    return mod is not None and type(mod).__name__ != "_LazyModule"
+"""
+
+#: the Monte Carlo layer and the thread-pool stack it alone imports
+MONTE_CARLO = ("cauchyspec.montecarlo", "concurrent.futures", "logging")
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # the subcommands import what they need; loading the CLI alone keeps
     # every process's start-up cost down
     lazy = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.fft",
-            "numpy.random", "cauchyspec.checks")
+            "numpy.random", "cauchyspec.checks", *MONTE_CARLO)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cauchyspec.cli; "
-         f"print([m for m in {lazy!r} if m in sys.modules])"],
+         LOADED + "import cauchyspec.cli\n"
+         f"print([m for m in {lazy!r} if loaded(m)])"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_the_eager_package_modules():
+    eager = ("cauchyspec", "cauchyspec.cli", "cauchyspec.errors",
+             "cauchyspec.quadrature", "cauchyspec.specialfun",
+             "cauchyspec.halfline", "cauchyspec.linalg",
+             "cauchyspec.interval")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         LOADED + "import cauchyspec.cli\n"
+         "print(sorted(m for m in list(sys.modules) if loaded(m)\n"
+         "             and m.split('.')[0] == 'cauchyspec'\n"
+         f"             and m not in {eager!r}))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -66,6 +94,19 @@ def test_every_subcommand_loads_no_scipy_subpackage():
          "print(seen)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == repr([[]] * 8)
+
+
+def test_default_subcommands_leave_the_monte_carlo_layer_unloaded():
+    # only validate --level full and the montecarlo API run paths
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         LOADED + "import contextlib, io, cauchyspec.cli\n"
+         f"for argv in {SUBCOMMANDS!r}:\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        assert cauchyspec.cli.main(argv) == 0, argv\n"
+         f"print([m for m in {MONTE_CARLO!r} if loaded(m)])"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def run_refusing(module):
