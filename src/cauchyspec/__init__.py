@@ -9,8 +9,9 @@ Monte Carlo cross-check, :mod:`.montecarlo`, which only ``validate --level
 full`` and its own callers use.  ``cauchyspec.montecarlo`` is bound to a lazily
 loaded module, registered in ``sys.modules`` at import, which executes on
 its first attribute access; the five names it exports resolve through it
-on first use.  Until then neither it nor the thread pool it runs on
-(``concurrent.futures``, which loads ``logging``) is loaded.
+on first use.  It runs its batches on plain ``threading`` workers, so it
+loads no thread-pool module (``concurrent.futures`` and the ``logging`` it
+imports) when it does execute.
 """
 
 import importlib.util

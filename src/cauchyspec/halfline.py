@@ -37,16 +37,27 @@ and exit-law integrand, is read on 1e-12 < s < 1e12 from f(s) (1+s)^{3/2}/s
 through Ti2 and about twice as cheap per point.  Narrow panels keep the
 degree, and so a read's Clenshaw steps, low.
 
-Working set: every large evaluation runs in blocks of _TABLE_BLOCK (32768)
-points.  A table read runs each block's Clenshaw recurrence in place in
-three arrays, the Laplace rule takes 17 points per block of its
-exponential matrix, whose entries that underflow it sets to 0.0 rather
-than computing them, and :func:`pi_transform` takes its outputs in column
-blocks of about _TABLE_BLOCK pairs through two reused buffers, so its
-traced peak stays near 2.5 MiB however large the grid.  Table reads and
-psi are elementwise, and the rule sums each row of its matrix on its own
-(numpy's pairwise sum), so every block leaves every bit as the whole-array
-formula gives it: a point's r is the same alone and in any batch.
+Working set: every large evaluation runs in blocks of _TABLE_BLOCK (4096)
+points, so that no temporary of a block reaches 128 KiB, glibc's default
+mmap and trim threshold: an allocation that large is mapped from the
+kernel and unmapped on free, and a heap whose free top passes it shrinks,
+so each block faulted its temporaries' pages in again.  At 32768-point
+blocks (256 KiB temporaries) a fresh process's first Pi transform of 201
+nodes to 916 outputs took 2,559 minor page faults and every later call
+2,327; at 4096 points they take 9 and 0.  A table read runs each block's
+Clenshaw recurrence in place in three arrays and skips its range mask when
+the block's extremes lie inside the table; psi forms a block's sine and
+difference in its output and builds the mask of x <= 0 only for a block
+whose smallest point is not positive.  The Laplace rule takes _RULE_ROWS
+(17) points per block of its exponential matrix, whose entries that
+underflow it sets to 0.0 rather than computing them.  :func:`pi_transform`
+takes its outputs in column blocks of at most _TABLE_BLOCK pairs (8
+outputs at least) through two reused buffers: its traced peak is 262 KiB
+at 201 nodes and 916 outputs, and 531 KiB at 2001 nodes, whose blocks of
+8 outputs make each buffer 125 KiB.  Table reads and psi are elementwise,
+and the rule sums each row of its matrix on its own (numpy's pairwise
+sum), so every block leaves every bit as the whole-array formula gives
+it: a point's r is the same alone and in any batch.
 
 Everything else runs through the adaptive engine in
 :mod:`.quadrature`.  The exit law has one integration path: the masses of
@@ -188,8 +199,21 @@ def _tail(x: np.ndarray, T: float) -> np.ndarray:
     return out
 
 
-#: points per block of a table evaluation, which bounds its temporaries
-_TABLE_BLOCK = 1 << 15
+#: points per block of a table read and of psi, and most pairs per column
+#: block of pi_transform: every temporary of a block is 32 KiB, below the
+#: 128 KiB from which glibc maps an allocation from the kernel and trims the
+#: heap on free (see the module docstring).  Chosen by measurement at 201
+#: and 2001 nodes x 916 outputs (2-core Xeon VM, one BLAS thread): 4096
+#: faults no pages on a repeated transform at either size, 8192 was 20 %
+#: faster at 201 nodes but faulted 14,198 pages per call at 2001, where its
+#: 64 KiB temporaries, freed together at the heap's top, trimmed it every
+#: block, and 2048 and 1024 were 10 % and 50 % slower at 201 nodes
+_TABLE_BLOCK = 1 << 12
+
+#: rows per block of the Laplace rule's exponential matrix (251 KiB, one
+#: per call): 8 rows, under the 128 KiB threshold, were 12-30 % slower on
+#: 4001 points and 2 or 4 rows slower still
+_RULE_ROWS = 17
 
 
 def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
@@ -207,10 +231,9 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
     t, wt, T, amp = _laplace_rule()
     xr = np.minimum(x, 1e3 / _RULE_LO)
     out = np.empty_like(x)
-    block = _TABLE_BLOCK // t.size       # 17 rows
-    e = np.empty((min(block, x.size), t.size))
-    for i in range(0, x.size, block):
-        xb = xr[i:i + block]
+    e = np.empty((min(_RULE_ROWS, x.size), t.size))
+    for i in range(0, x.size, _RULE_ROWS):
+        xb = xr[i:i + _RULE_ROWS]
         eb = e[:xb.size]
         # t ascends, so past the first column whose x_min t passes
         # _EXP_ZERO every entry is 0.0, which np.exp reaches slowly
@@ -221,7 +244,7 @@ def _laplace_of_weight(x: np.ndarray) -> np.ndarray:
         np.exp(live, out=live)
         live *= wt[:n]
         eb[:, n:] = 0.0
-        eb.sum(axis=1, out=out[i:i + block])
+        eb.sum(axis=1, out=out[i:i + _RULE_ROWS])
     return out + amp * _tail(xr, T) + _head(x)
 
 
@@ -274,20 +297,27 @@ class _LogChebTable:
 
     def read(self, x: np.ndarray) -> np.ndarray:
         """fn(x) for lo < x < hi, by Clenshaw on the panel of each point,
-        _TABLE_BLOCK points at a time.  The recurrence
-        b1 <- c_j + 2s b1 - b2 runs in place in b1, b2 and t (which is free
-        once the panel k and 2s are read off it), one gathered c_j being
-        the only new array of a step; its first step, where b2 = 0, skips
-        the subtraction.  Every bit is as in the plain form."""
+        _TABLE_BLOCK points of the flattened x at a time.  t and 2s are
+        formed in place, and the recurrence b1 <- c_j + 2s b1 - b2 runs in
+        place in b1, b2 and t (which is free once the panel k and 2s are
+        read off it), one gathered c_j being the only new array of a step;
+        its first step, where b2 = 0, skips the subtraction.  Every bit is
+        as in the plain form."""
         cols = self.cols
-        out = np.empty_like(x)
-        for i in range(0, x.size, _TABLE_BLOCK):
-            xb = x[i:i + _TABLE_BLOCK]
-            t = (np.log(xb) - self.u0) / self.h
+        out = np.empty(x.shape)
+        xs, outs = x.reshape(-1), out.reshape(-1)
+        for i in range(0, xs.size, _TABLE_BLOCK):
+            xb = xs[i:i + _TABLE_BLOCK]
+            t = np.log(xb)
+            t -= self.u0
+            t /= self.h
             # truncation sends a t rounded just below 0 to panel 0; the top
             # of the range, x = hi, has t = panels, one past the last panel
-            k = np.minimum(t.astype(np.intp), self.panels - 1)
-            s2 = 4.0 * (t - k) - 2.0                 # 2 s, s in [-1, 1]
+            k = t.astype(np.intp)
+            np.minimum(k, self.panels - 1, out=k)
+            s2 = np.subtract(t, k)
+            s2 *= 4.0
+            s2 -= 2.0                                # 2 s, s in [-1, 1]
             b2 = cols[-1][k]
             b1 = s2 * b2
             b1 += cols[-2][k]
@@ -295,16 +325,19 @@ class _LogChebTable:
                 np.multiply(s2, b1, t)
                 t += col[k]
                 b1, b2 = np.subtract(t, b2, b2), b1
-            np.multiply(0.5 * s2, b1, t)
+            s2 *= 0.5
+            np.multiply(s2, b1, t)
             t += cols[0][k]
             t -= b2
-            out[i:i + _TABLE_BLOCK] = t / self.scale(xb)
+            np.divide(t, self.scale(xb), out=outs[i:i + _TABLE_BLOCK])
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """fn on a float array: read from the table inside (lo, hi), which
         is loaded or built on first use there, and computed by fn at the
         other points."""
+        if x.size and self.lo < x.min() and x.max() < self.hi:
+            return self.read(x)
         inside = (x > self.lo) & (x < self.hi)
         n = np.count_nonzero(inside)
         if n == 0:
@@ -356,15 +389,23 @@ def _remainder(x: np.ndarray) -> np.ndarray:
 
 
 def _psi(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """psi(1, x) on a float array of finite x, unchecked: sin(x + pi/8) - r(x)
-    on the whole array (r at |x| if some x <= 0), then 0 where x <= 0, which
-    is cheaper than gathering the positive points.  The sine and the
-    difference are formed in one array: ``out``, of x's shape and apart from
+    """psi(1, x) on a float array of finite x, unchecked, _TABLE_BLOCK
+    points at a time: sin(x + pi/8) - r(x) on the whole block (r at |x| if
+    the block holds some x <= 0), then 0 where x <= 0, which is cheaper
+    than gathering the positive points.  The sine and the difference are
+    formed in one array: ``out``, C-contiguous, of x's shape and apart from
     x, when it is given."""
-    out = np.sin(np.add(x, _PI / 8.0, out=out), out=out)
-    out -= _remainder(
-        np.abs(x).ravel() if (x <= 0.0).any() else x.ravel()).reshape(x.shape)
-    out[x <= 0.0] = 0.0
+    if out is None:
+        out = np.empty(x.shape)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    for i in range(0, xs.size, _TABLE_BLOCK):
+        xb, ob = xs[i:i + _TABLE_BLOCK], outs[i:i + _TABLE_BLOCK]
+        np.sin(np.add(xb, _PI / 8.0, out=ob), out=ob)
+        if xb.min() > 0.0:
+            ob -= _remainder(xb)
+        else:
+            ob -= _remainder(np.abs(xb))
+            ob[xb <= 0.0] = 0.0
     return out
 
 
@@ -594,12 +635,15 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray) -> GridFunction:
     node, or output nodes other than a strictly increasing 1-D array of at
     least two finite, positive points, raise :class:`DomainError`.
 
-    The outputs are taken in column blocks of _TABLE_BLOCK pairs, rounded
-    down to a multiple of 8 outputs (:func:`_pi_width`): for each, lam_i x_j
-    and psi of it are formed in two reused buffers and ``coef @ K`` is one
-    BLAS product, which with one BLAS thread and that multiple of 8 matched
-    a full-width product bit for bit on every grid tried.  The traced peak
-    is 2.5 MiB at 2001 nodes and 916 outputs and 2.6 MiB at 9167.
+    The outputs are taken in column blocks of at most _TABLE_BLOCK pairs,
+    a multiple of 8 outputs and 8 at least (:func:`_pi_width`): for each,
+    lam_i x_j and psi of it are formed in two reused buffers and
+    ``coef @ K`` is one BLAS product, which with one BLAS thread and that
+    multiple of 8 matched a full-width product bit for bit on every grid
+    tried.  The traced peak is 262 KiB at 201 nodes and 916 outputs, and
+    531 KiB at 2001 nodes and 916 outputs and 625 KiB at 9167.  Up to 2047
+    nodes no buffer or temporary reaches glibc's 128 KiB mmap threshold, so
+    a call faults in no new pages once the heap has grown to hold them.
     """
     _finite("input nodes", f.nodes, low=0.0)
     out = _increasing("output nodes", out_nodes, 2)
@@ -609,18 +653,22 @@ def pi_transform(f: GridFunction, out_nodes: np.ndarray) -> GridFunction:
         raise GridTooCoarse(
             f"input spacing {f.spacing():.4g} exceeds pi/(8*{lam_max:.4g})")
     lam, coef = f.nodes[:, None], f.weights * f.values
-    width = _pi_width(lam.size)
-    buf = np.empty((2, lam.size * min(width, out.size)))
+    n, width = lam.size, _pi_width(lam.size)
+    size = n * min(width, out.size)
+    prod_buf, psi_buf = np.empty(size), np.empty(size)
     vals = np.empty_like(out)
     for j in range(0, out.size, width):
         xb = out[j:j + width]
-        prod, K = buf[:, :lam.size * xb.size].reshape(2, lam.size, xb.size)
+        prod = prod_buf[:n * xb.size].reshape(n, xb.size)
+        K = psi_buf[:n * xb.size].reshape(n, xb.size)
         vals[j:j + width] = coef @ _psi(np.multiply(lam, xb, out=prod), out=K)
     return GridFunction.from_samples(out, vals)
 
 
 def _pi_width(nodes: int) -> int:
-    """Outputs per column block of :func:`pi_transform` (8 at least)."""
+    """Outputs per column block of :func:`pi_transform`: the largest
+    multiple of 8 whose block holds at most _TABLE_BLOCK pairs, and 8 at
+    least."""
     return max(8, _TABLE_BLOCK // nodes // 8 * 8)
 
 

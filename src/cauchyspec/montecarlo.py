@@ -13,15 +13,16 @@ Randomness comes from numpy's PCG64 generator seeded through SeedSequence.
 The paths are split into a fixed number of batches, each drawing from its
 own spawned child sequence.  Each batch is simulated alone, a block of time
 steps at a time: one draw fills the block, and a few array passes turn it
-into positions and update the alive masks.  The batches run on a thread
-pool with one worker per CPU the process may run on (its affinity mask);
-the draws and array passes release the interpreter lock, so the batches run
-in parallel.  Results depend only on (seed, paths, batch count), not on the
-block length, the number of workers or the order of execution.
+into positions and update the alive masks.  The batches run on plain
+``threading`` workers, one per CPU the process may run on (its affinity
+mask), each taking the next batch until none is left and drawing every
+batch it runs into one block of its own; the draws and array passes release
+the interpreter lock, so the batches run in parallel.  Results depend only
+on (seed, paths, batch count), not on the block length, the number of
+workers or the order of execution.
 
 The package executes this module on first use, not at import: only
-``validate --level full`` and direct callers load it, and with it
-``concurrent.futures`` and ``logging``.
+``validate --level full`` and direct callers load it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +96,16 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batch(rng, n, x, dt, nsteps, strides, stop):
+def _batch(rng, n, x, dt, nsteps, strides, buf, stop):
     """Alive counts for each stride over n paths started at x, whose
     increments rng draws step by step.  A block of k steps is drawn at
-    once, row j holding step j's increments, and summed down the rows into
-    positions.  Calls only numpy between checks of ``stop``, once per
+    once into the front of the flat float array ``buf`` (k n floats at
+    least), row j holding step j's increments, and summed down the rows
+    into positions.  Calls only numpy between checks of ``stop``, once per
     block, and returns early, with partial counts, once it is set; an
     exception sets it before it propagates."""
-    k = max(1, _BLOCK // n)
-    block = np.empty((k, n))
+    k = _steps_per_block(n)
+    block = buf[:k * n].reshape(k, n)
     pos = np.full(n, x)
     alive = np.ones((len(strides), n), dtype=bool)
     try:
@@ -126,18 +127,25 @@ def _batch(rng, n, x, dt, nsteps, strides, stop):
     return alive.sum(axis=1)
 
 
+def _steps_per_block(n: int) -> int:
+    """Time steps per block of a batch of n paths (one at least)."""
+    return max(1, _BLOCK // n)
+
+
 def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     """Alive counts at time t for each monitoring stride (multiples of
     cfg.dt), sharing one simulated path set, for x and t already checked.
 
     Batch b draws its paths' increments from its own spawned stream, step
     by step, exactly as if simulated alone, one block of steps at a time
-    (_batch).  The non-empty batches go to a thread pool with one worker per
-    CPU in the affinity mask, capped at the number of batches, and the
-    counts are summed in batch order, so they do not depend on the pool.
+    (_batch).  The non-empty batches are run by one thread per CPU in the
+    affinity mask, capped at the number of batches, each taking the next
+    batch not yet taken and allocating one block for all it runs; the
+    counts are summed in batch order, so they do not depend on the workers.
     An exception in any batch, or an interrupt of the caller's wait, stops
-    the others within one block, and the exception reaches the caller;
-    every worker is joined before the call returns or raises."""
+    the others within one block, and the first failing batch's exception
+    reaches the caller; every worker is joined before the call returns or
+    raises."""
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-9 * t:
         raise DomainError("t must be a multiple of dt")
@@ -147,14 +155,45 @@ def _survive_batches(x: float, t: float, cfg: McConfig, strides=(1,)):
     children = np.random.SeedSequence(cfg.seed).spawn(_N_BATCHES)
     batches = [(np.random.default_rng(child), base + (b < extra))
                for b, child in enumerate(children) if base + (b < extra)]
+    size = max(_steps_per_block(n) * n for _, n in batches)
+    results = [None] * len(batches)     # counts, or the exception raised
+    todo, lock = iter(range(len(batches))), threading.Lock()
     stop = threading.Event()
-    with ThreadPoolExecutor(min(_available_cpus(), len(batches))) as pool:
-        futures = [pool.submit(_batch, rng, n, float(x), cfg.dt, nsteps,
-                               strides, stop) for rng, n in batches]
-        try:
-            return sum(f.result() for f in futures)
-        finally:
-            stop.set()      # else an interrupt here waits for every batch
+
+    def work():
+        buf = None
+        while True:
+            with lock:
+                b = next(todo, None)
+            if b is None:
+                return
+            rng, n = batches[b]
+            try:
+                if buf is None:     # in the worker's own malloc arena
+                    buf = np.empty(size)
+                results[b] = _batch(rng, n, float(x), cfg.dt, nsteps,
+                                    strides, buf, stop)
+            except BaseException as exc:    # re-raised by the caller
+                stop.set()
+                results[b] = exc
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(_available_cpus(), len(batches)))]
+    started = []
+    try:
+        for w in workers:
+            w.start()
+            started.append(w)
+        for w in started:
+            w.join()
+    finally:
+        stop.set()          # else an interrupt here waits for every batch
+        for w in started:
+            w.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return sum(results)
 
 
 def estimate_survival(x: float, t: float, cfg: McConfig) -> McEstimate:

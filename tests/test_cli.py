@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from cauchyspec import cli
 from cauchyspec.checks import CHECKS
 from cauchyspec.cli import main, output_schema
 
@@ -176,6 +177,33 @@ def test_help_does_not_depend_on_the_terminal(argv, monkeypatch, capsys):
         assert exc.value.code == 0
         text.append(capsys.readouterr().out)
     assert text[0] == text[1]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), for an argv that argparse
+    ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([cmd, "--help"] for cmd in cli._COMMANDS), [],
+    ["bogus"], ["eigs", "--n-max", "3", "--basis", "8", "--bogus"],
+    ["eigs", "--n-max", "3"], ["validate", "--level", "slow"], ["--version"],
+], ids=["help", *(f"{cmd}-help" for cmd in cli._COMMANDS), "no-arguments",
+        "unknown-command", "unknown-flag", "missing-required",
+        "bad-choice", "version"])
+def test_subcommand_parser_matches_the_full_parser(argv, monkeypatch,
+                                                   capsys):
+    # main builds only argv[0]'s subcommand; the parser with every
+    # subcommand built must print and exit the same
+    lazy = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full())
+    assert lazy == _outcome(argv, capsys)
+    assert lazy[0] in (0, 64)
 
 
 def test_usage_error_exit_code():

@@ -12,18 +12,18 @@ from cauchyspec import (DomainError, GridFunction, McConfig, PoleError,
                         QuadratureSpec, assemble_intermediate,
                         b_complex, bracket, eta, estimate_survival,
                         exit_density, exit_law, f_exit,
-                        generalized_sym_eig, green_moment,
+                        generalized_sym_eig, green_moment, halfline,
                         heat_kernel, heat_kernel_spectral, heat_kernel_table,
                         integrate, laplace_psi, lower_bounds, pi_transform,
                         psi, q_cutoff, refinement_study, remainder,
                         residual_norm, rr_eigenfunction, solve_spd, survival,
                         sym_eig, tilde_phi, tilde_phi_norm2, ti2,
                         upper_bounds)
-from cauchyspec.halfline import (_F_TABLE, _R_TABLE, _RULE_LO, _TABLE_BLOCK,
-                                 PSI_SUP, _f_closed, _free_kernel,
-                                 _gamma_p2, _head, _laplace_of_weight,
-                                 _laplace_rule, _LogChebTable, _tail,
-                                 remainder_weight)
+from cauchyspec.halfline import (_F_TABLE, _R_TABLE, _RULE_LO, _RULE_ROWS,
+                                 _TABLE_BLOCK, PSI_SUP, _f_closed,
+                                 _free_kernel, _gamma_p2, _head,
+                                 _laplace_of_weight, _laplace_rule,
+                                 _LogChebTable, _tail, remainder_weight)
 
 SQ2 = math.sqrt(2.0)
 
@@ -144,15 +144,22 @@ def _clenshaw_reference(table, x):
     return (cols[0][k] + 0.5 * s2 * b1 - b2) / table.scale(x)
 
 
+#: block sizes of the bit-identity tests: the shipped one, the 32768 of
+#: earlier versions, and one that divides none of their inputs
+BLOCKS = [_TABLE_BLOCK, 1 << 15, 1000]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("table", [_R_TABLE, _F_TABLE], ids=["r", "f"])
-def test_table_read_is_plain_clenshaw(table):
+def test_table_read_is_plain_clenshaw(monkeypatch, table, block):
     # the same arithmetic in the same order: equal bit for bit, for one
     # point, a 15-point batch, a 2-D batch and more than one block
+    monkeypatch.setattr(halfline, "_TABLE_BLOCK", block)
     xs = np.geomspace(table.lo, table.hi, 70001)[1:-1]
     assert np.array_equal(table.read(xs), _clenshaw_reference(table, xs))
     for x in (xs[:1], xs[::4667]):
         assert np.array_equal(table.read(x), _clenshaw_reference(table, x))
-    grid = xs[:600].reshape(40, 15)
+    grid = xs[:2400].reshape(160, 15)
     ref = _clenshaw_reference(table, grid.ravel()).reshape(grid.shape)
     assert np.array_equal(table.read(grid), ref)
 
@@ -222,9 +229,8 @@ def test_laplace_rule_skips_only_exponentials_that_underflow():
     x = np.concatenate((np.geomspace(1e-16, 1e16, 4001),
                         [_R_TABLE.lo, _R_TABLE.hi]))
     xr = np.minimum(x, 1e3 / _RULE_LO)
-    block = _TABLE_BLOCK // t.size
-    rule = np.concatenate([(np.exp(-np.outer(xr[i:i + block], t)) * wt)
-                           .sum(axis=1) for i in range(0, x.size, block)])
+    rule = np.concatenate([(np.exp(-np.outer(xr[i:i + _RULE_ROWS], t)) * wt)
+                           .sum(axis=1) for i in range(0, x.size, _RULE_ROWS)])
     ref = rule + amp * _tail(xr, T) + _head(x)
     assert np.array_equal(_laplace_of_weight(x).view(np.uint64),
                           ref.view(np.uint64))
@@ -595,9 +601,13 @@ def test_f_exit_values():
     assert np.all(vals < 0.5)  # bounded
 
 
-def test_heat_kernel_spectral_uses_psi_unchanged():
+@pytest.mark.parametrize("block", [_TABLE_BLOCK, 1 << 15, 4])
+def test_heat_kernel_spectral_uses_psi_unchanged(monkeypatch, block):
     # the spectral kernel evaluates psi through psi(1, lam*x); this is the
-    # formula it used to inline, and the values must agree bit for bit
+    # formula it used to inline, and the values must agree bit for bit, in
+    # blocks of any size (4 points divides none of the integrand's batches)
+    monkeypatch.setattr(halfline, "_TABLE_BLOCK", block)
+
     def inline(t, x, y, tol=1e-9):
         lam_max = math.log(2.0 * PSI_SUP**2 / (math.pi * t * 0.5 * tol)) / t
         spec = QuadratureSpec(abs_tol=0.5 * tol, rel_tol=0.5 * tol,
